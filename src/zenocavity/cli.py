@@ -65,6 +65,8 @@ class CliError(ValueError):
 
 _PARAM_KEYS = ("g", "lam", "omega1", "omega2", "omega3")
 _SPEC_KEYS = ("branch", "k", "engine", "interpretation", "outcome", "convention")
+# also the order sweep axes are applied in: a derived ratio reads the values
+# of the axes before it (g_over_lam sets g from lam, omega1_over_g omega1 from g)
 _AXIS_NAMES = _PARAM_KEYS + ("g_over_lam", "omega1_over_g")
 
 _NUMERIC_ERRORS = (
@@ -311,7 +313,7 @@ def _cmd_protocol(args) -> int:
 def _sweep_eval(task):
     spec, names, values = task
     params = spec.params
-    for name, value in zip(names, values):
+    for name, value in sorted(zip(names, values), key=lambda nv: _AXIS_NAMES.index(nv[0])):
         params = _apply_axis(params, name, value)
     point = replace(spec, params=params)
     model = build_branch_model(point.params, point.branch)
@@ -343,6 +345,9 @@ def _cmd_sweep(args) -> int:
     names = [name for name, _ in axes]
     if len(set(names)) != len(names):
         raise CliError("sweep axes must be distinct")
+    for derived, base in (("g_over_lam", "g"), ("omega1_over_g", "omega1")):
+        if derived in names and base in names:
+            raise CliError(f"axis {derived} sets {base}; sweep one of them, not both")
     grids = [grid for _, grid in axes]
 
     tasks = [(spec, names, list(point)) for point in itertools.product(*grids)]

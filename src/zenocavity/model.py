@@ -8,18 +8,18 @@ same-polarization mode of both cavities), and classical drives on the
 + h.c.`` with real nonnegative coefficients, so every matrix here is real
 symmetric.
 
-Operators are assembled as sparse Kronecker products and densified only when
-the space is small; the physically relevant blocks are the single-excitation
-sectors picked out by :func:`reachable_subspace`, which are 7-dimensional per
-polarization branch (14 for the combined two-branch space).
+Operators are assembled as sparse (CSR) Kronecker products. The physically
+relevant blocks are the single-excitation sectors picked out by
+:func:`reachable_subspace`, which are 7-dimensional per polarization branch
+(14 for the combined two-branch space); :func:`restrict` compresses an
+operator onto such a sector as a dense matrix.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,13 +28,11 @@ from .spaces import (
     HilbertSpace,
     InvalidSubsystemError,
     RestrictedSpace,
+    SpaceMismatchError,
     State,
     SubsystemSpec,
     standard_subsystems,
 )
-
-# above this dimension operators stay sparse unless explicitly densified
-DENSE_AUTO_LIMIT = 512
 
 
 class ClosureOverflowError(ValueError):
@@ -54,52 +52,28 @@ class Branch(str, enum.Enum):
 
 @dataclass(frozen=True)
 class FiberSpec:
-    """Fiber geometry used only for the short-fiber validity check."""
+    """Fiber geometry; construction enforces the short-fiber condition.
+
+    At most one fiber mode per polarization may be resonant with the
+    cavities, otherwise the single-mode fiber model is invalid.
+    """
 
     length: float
     decay_rate: float
     light_speed: float
 
+    def __post_init__(self):
+        if self.mode_ratio > 1.0:
+            raise ValueError(
+                "short-fiber condition violated: 2*L*nu/(2*pi*c) = "
+                f"{self.mode_ratio:.3f} > 1; the single-mode fiber model"
+                " does not apply"
+            )
+
     @property
     def mode_ratio(self) -> float:
         # number of fiber modes that interact with the cavities, up to O(1)
         return 2.0 * self.length * self.decay_rate / (2.0 * math.pi * self.light_speed)
-
-
-@dataclass(frozen=True)
-class SystemParams:
-    """Per-transition coupling rates of the full model.
-
-    ``g_*`` are atom-cavity couplings, ``omega_*`` classical drive amplitudes,
-    ``lam_*`` cavity-fiber couplings. If a :class:`FiberSpec` is supplied, the
-    short-fiber condition (at most one resonant fiber mode per polarization)
-    must hold, otherwise the single-mode fiber model is invalid.
-    """
-
-    g_al: float
-    g_ar: float
-    g_bl: float
-    g_cr: float
-    omega_al: float
-    omega_ar: float
-    omega_bl: float
-    omega_cr: float
-    lam_l: float
-    lam_r: float
-    fiber: FiberSpec | None = None
-
-    def __post_init__(self):
-        for name in ("g_al", "g_ar", "g_bl", "g_cr", "omega_al", "omega_ar",
-                     "omega_bl", "omega_cr", "lam_l", "lam_r"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        if self.fiber is not None and self.fiber.mode_ratio > 1.0:
-            raise ValueError(
-                "short-fiber condition violated: 2*L*nu/(2*pi*c) = "
-                f"{self.fiber.mode_ratio:.3f} > 1; the single-mode fiber model"
-                " does not apply"
-            )
 
 
 @dataclass(frozen=True)
@@ -122,14 +96,6 @@ class UniformParams:
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
-
-    def to_system(self, fiber: FiberSpec | None = None) -> SystemParams:
-        return SystemParams(
-            g_al=self.g, g_ar=self.g, g_bl=self.g, g_cr=self.g,
-            omega_al=self.omega1, omega_ar=self.omega1,
-            omega_bl=self.omega2, omega_cr=self.omega3,
-            lam_l=self.lam, lam_r=self.lam, fiber=fiber,
-        )
 
     def chi(self) -> float:
         """Bright-state scale factor sqrt(1 + 2 lam^2 / g^2)."""
@@ -166,7 +132,7 @@ def _annihilation(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
 
 
-def coupling_terms(params: SystemParams, space: HilbertSpace) -> list[CouplingTerm]:
+def coupling_terms(params: UniformParams, space: HilbertSpace) -> list[CouplingTerm]:
     """Symbolic term list of the full Hamiltonian (hermitian halves only)."""
     subs = {s.name: s for s in space.subsystems}
     ann = {name: _annihilation(subs[name].dim) for name in subs if subs[name].is_mode}
@@ -184,20 +150,20 @@ def coupling_terms(params: SystemParams, space: HilbertSpace) -> list[CouplingTe
             terms.append(CouplingTerm(part, float(coeff), tuple(factors)))
 
     # atom-cavity: excited level drops while emitting into the matching mode
-    add("cavity", params.g_al, ("a", up("a", "l")), ("A_l", ann["A_l"]))
-    add("cavity", params.g_ar, ("a", up("a", "r")), ("A_r", ann["A_r"]))
-    add("cavity", params.g_bl, ("b", up("b", "l")), ("B_l", ann["B_l"]))
-    add("cavity", params.g_cr, ("c", up("c", "r")), ("B_r", ann["B_r"]))
+    add("cavity", params.g, ("a", up("a", "l")), ("A_l", ann["A_l"]))
+    add("cavity", params.g, ("a", up("a", "r")), ("A_r", ann["A_r"]))
+    add("cavity", params.g, ("b", up("b", "l")), ("B_l", ann["B_l"]))
+    add("cavity", params.g, ("c", up("c", "r")), ("B_r", ann["B_r"]))
     # cavity-fiber: the fiber mode absorbs from either cavity of its polarization
-    add("fiber", params.lam_l, ("F_l", ann["F_l"].conj().T), ("A_l", ann["A_l"]))
-    add("fiber", params.lam_l, ("F_l", ann["F_l"].conj().T), ("B_l", ann["B_l"]))
-    add("fiber", params.lam_r, ("F_r", ann["F_r"].conj().T), ("A_r", ann["A_r"]))
-    add("fiber", params.lam_r, ("F_r", ann["F_r"].conj().T), ("B_r", ann["B_r"]))
-    # classical drives on the f -> e transitions
-    add("drive", params.omega_al, ("a", drv("a", "l")))
-    add("drive", params.omega_ar, ("a", drv("a", "r")))
-    add("drive", params.omega_bl, ("b", drv("b", "l")))
-    add("drive", params.omega_cr, ("c", drv("c", "r")))
+    add("fiber", params.lam, ("F_l", ann["F_l"].conj().T), ("A_l", ann["A_l"]))
+    add("fiber", params.lam, ("F_l", ann["F_l"].conj().T), ("B_l", ann["B_l"]))
+    add("fiber", params.lam, ("F_r", ann["F_r"].conj().T), ("A_r", ann["A_r"]))
+    add("fiber", params.lam, ("F_r", ann["F_r"].conj().T), ("B_r", ann["B_r"]))
+    # classical drives on the f -> e transitions; omega1 drives both branches
+    add("drive", params.omega1, ("a", drv("a", "l")))
+    add("drive", params.omega1, ("a", drv("a", "r")))
+    add("drive", params.omega2, ("b", drv("b", "l")))
+    add("drive", params.omega3, ("c", drv("c", "r")))
     return terms
 
 
@@ -213,49 +179,29 @@ def _materialize(term: CouplingTerm, space: HilbertSpace) -> sp.csr_matrix:
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianParts:
-    """The three physical parts plus their sums, on one space.
+    """The three physical parts plus their sums, as CSR matrices on one space.
 
-    Matrices are dense ndarrays for small spaces and CSR for large ones
-    (see :func:`build_hamiltonian`); ``strong = cavity + fiber`` and
-    ``total = strong + drive``.
+    ``strong = cavity + fiber`` and ``total = strong + drive``.
     """
 
     space: HilbertSpace
-    cavity: object
-    fiber: object
-    drive: object
-    strong: object
-    total: object
-
-    @property
-    def is_sparse(self) -> bool:
-        return sp.issparse(self.total)
-
-
-def to_dense(mat) -> np.ndarray:
-    if sp.issparse(mat):
-        return np.asarray(mat.todense(), dtype=complex)
-    return np.asarray(mat, dtype=complex)
+    cavity: sp.csr_matrix
+    fiber: sp.csr_matrix
+    drive: sp.csr_matrix
+    strong: sp.csr_matrix
+    total: sp.csr_matrix
 
 
 def build_hamiltonian(
-    params: SystemParams | UniformParams,
+    params: UniformParams,
     space: HilbertSpace | None = None,
-    fmt: str = "auto",
 ) -> HamiltonianParts:
     """Assemble the Hamiltonian parts on ``space`` (default cutoff-1 space).
 
-    ``fmt`` is "dense", "sparse", or "auto" (dense iff dim <= 512). Every
-    part is hermitian by construction.
+    Every part is a hermitian CSR matrix by construction.
     """
-    if isinstance(params, UniformParams):
-        params = params.to_system()
     if space is None:
         space = full_space()
-    if fmt not in ("auto", "dense", "sparse"):
-        raise ValueError(f"unknown fmt {fmt!r}")
-    dense = space.dim <= DENSE_AUTO_LIMIT if fmt == "auto" else fmt == "dense"
-
     terms = coupling_terms(params, space)
     parts = {}
     for name in ("cavity", "fiber", "drive"):
@@ -266,12 +212,8 @@ def build_hamiltonian(
                 acc = acc + m + m.conj().T
         parts[name] = acc
     strong = parts["cavity"] + parts["fiber"]
-    total = strong + parts["drive"]
-    if dense:
-        parts = {k: to_dense(v).real.astype(float) for k, v in parts.items()}
-        strong, total = to_dense(strong).real.astype(float), to_dense(total).real.astype(float)
     return HamiltonianParts(space, parts["cavity"], parts["fiber"], parts["drive"],
-                            strong, total)
+                            strong, strong + parts["drive"])
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +245,10 @@ def excitation_number(space: HilbertSpace) -> np.ndarray:
 
 def number_commutator_maxabs(h, number_diag: np.ndarray) -> float:
     """max |[H, N]_ij| for diagonal N, without forming the commutator."""
-    if sp.issparse(h):
-        coo = h.tocoo()
-        if coo.nnz == 0:
-            return 0.0
-        return float(np.max(np.abs(coo.data * (number_diag[coo.row] - number_diag[coo.col]))))
-    h = np.asarray(h)
-    return float(np.max(np.abs(h * (number_diag[:, None] - number_diag[None, :]))))
+    coo = sp.coo_matrix(h)
+    if coo.nnz == 0:
+        return 0.0
+    return float(np.max(np.abs(coo.data * (number_diag[coo.row] - number_diag[coo.col]))))
 
 
 def reachable_subspace(
@@ -330,28 +269,22 @@ def reachable_subspace(
     space = seed.space
     if isinstance(space, RestrictedSpace):
         raise InvalidSubsystemError("seed must live on the full space")
-    hs = h.tocsr() if sp.issparse(h) else None
-    hd = None if hs is not None else np.asarray(h)
-    if (hs.shape if hs is not None else hd.shape) != (space.dim, space.dim):
+    h = sp.csr_matrix(h)
+    if h.shape != (space.dim, space.dim):
         raise InvalidSubsystemError("Hamiltonian shape does not match the seed's space")
 
     start = [int(i) for i in np.flatnonzero(np.abs(seed.vec) > tol)]
     if not start:
         raise ValueError("seed state is (numerically) zero")
     order: list[int] = []
-    seen = set()
-    queue = list(sorted(start))
-    for i in queue:
-        seen.add(i)
+    seen = set(start)
+    queue = sorted(start)
     while queue:
         i = queue.pop(0)
         order.append(i)
-        if hs is not None:
-            row = hs.getrow(i)
-            neigh = [int(j) for j, v in zip(row.indices, row.data) if abs(v) > tol]
-        else:
-            neigh = [int(j) for j in np.flatnonzero(np.abs(hd[i]) > tol)]
-        for j in sorted(neigh):
+        lo, hi = h.indptr[i], h.indptr[i + 1]
+        neigh = h.indices[lo:hi][np.abs(h.data[lo:hi]) > tol]
+        for j in sorted(int(j) for j in neigh):
             if j not in seen:
                 seen.add(j)
                 queue.append(j)
@@ -363,8 +296,17 @@ def reachable_subspace(
 
 
 def restrict(h, subspace: RestrictedSpace) -> np.ndarray:
-    """Compress an operator onto a restricted basis (dense output)."""
-    return subspace.restrict_matrix(h)
+    """Compress a parent-space operator onto a restricted basis (dense output).
+
+    Accepts sparse or dense input; raises :class:`SpaceMismatchError` unless
+    the operator is square on the subspace's parent space.
+    """
+    h = sp.csr_matrix(h)
+    n = subspace.parent.dim
+    if h.shape != (n, n):
+        raise SpaceMismatchError(f"operator shape {h.shape} does not match parent ({n}, {n})")
+    ix = list(subspace.indices)
+    return np.asarray(h[ix, :][:, ix].todense(), dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -479,10 +421,10 @@ def build_branch_model(
     if space is None:
         space = full_space(cutoff)
     probe = replace(params, **_PROBE)
-    probe_parts = build_hamiltonian(probe, space, fmt="sparse")
+    probe_parts = build_hamiltonian(probe, space)
     seed = initial_state(space, branch)
     restricted = reachable_subspace(probe_parts.total, seed)
-    parts = build_hamiltonian(params, space, fmt="sparse")
+    parts = build_hamiltonian(params, space)
     return BranchModel(
         branch=branch,
         params=params,

@@ -258,16 +258,6 @@ class RestrictedSpace:
             )
         return parent_vec[list(self.indices)]
 
-    def restrict_matrix(self, mat) -> np.ndarray:
-        """Compress a parent-space operator onto this basis (dense output)."""
-        ix = list(self.indices)
-        if hasattr(mat, "tocsr"):  # scipy sparse
-            return np.asarray(mat.tocsr()[ix, :][:, ix].todense(), dtype=complex)
-        mat = np.asarray(mat)
-        if mat.shape != (self.parent.dim, self.parent.dim):
-            raise SpaceMismatchError(f"operator shape {mat.shape} does not match parent")
-        return np.asarray(mat[np.ix_(ix, ix)], dtype=complex)
-
     def local_index(self, parent_index: int) -> int:
         try:
             return self.indices.index(parent_index)
@@ -365,10 +355,6 @@ def embed(state: State) -> State:
     if isinstance(state.space, RestrictedSpace):
         return State(state.space.parent, state.space.embed(state.vec))
     return state
-
-
-def is_hermitian(mat: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
-    return bool(np.max(np.abs(mat - mat.conj().T)) <= tol)
 
 
 def require_hermitian(mat: np.ndarray, tol: float = STRUCTURAL_TOL, what: str = "operator"):

@@ -47,10 +47,6 @@ class ZenoDecomposition:
     multiplicities: tuple[int, ...]
     width: float
 
-    @property
-    def nclusters(self) -> int:
-        return len(self.projectors)
-
     def projector_near(self, value: float) -> np.ndarray:
         """The cluster projector whose eigenvalue is closest to ``value``."""
         i = int(np.argmin(np.abs(self.eigenvalues - value)))
@@ -75,9 +71,11 @@ def decompose(h_c: np.ndarray, cluster_width: float | None = None) -> ZenoDecomp
     ambiguous and a :class:`ClusterAmbiguityError` is raised.
     """
     h_c = np.asarray(h_c)
+    if h_c.size == 0:
+        raise ValueError(f"H_C must be a nonempty matrix, got shape {h_c.shape}")
     require_hermitian(h_c, what="H_C")
     evals, evecs = sla.eigh(h_c)
-    radius = float(np.max(np.abs(evals))) if evals.size else 0.0
+    radius = float(np.max(np.abs(evals)))
     if cluster_width is None:
         cluster_width = DEFAULT_CLUSTER_FRACTION * radius
     if cluster_width < 0:

@@ -180,6 +180,10 @@ def test_bad_config_content(tmp_path, capsys, ini, needle):
       "--workers", "0"], "--workers"),
     (["compare", "--taus", "0:1"], "grid must look"),
     (["compare", "--taus", "0:1:1"], "at least 2"),
+    (["sweep", "--name", "state_transfer", "--axis", "g_over_lam:lin:0.5:1:2",
+      "--axis", "g:lin:1:2:2"], "g_over_lam sets g"),
+    (["sweep", "--name", "state_transfer", "--axis", "omega1:lin:0.01:0.02:2",
+      "--axis", "omega1_over_g:lin:0.01:0.02:2"], "omega1_over_g sets omega1"),
 ])
 def test_usage_errors(capsys, argv, needle):
     code, _, err = invoke(argv, capsys)
@@ -236,6 +240,22 @@ def test_sweep_derived_axis(capsys):
         ratio = float(r[0])
         want = 2.0 / (ratio * ratio + 2.0)
         assert abs(float(r[1]) - want) < 1e-9
+
+
+def test_sweep_axis_order_only_swaps_columns(capsys):
+    # a derived ratio is applied after the absolute axis it reads
+    ratio, lam = "g_over_lam:lin:0.1:0.2:2", "lam:lin:1:4:2"
+    base = ["sweep", "--name", "bell", "--engine", "effective"]
+    code, first, _ = invoke(base + ["--axis", ratio, "--axis", lam], capsys)
+    assert code == 0
+    _, second, _ = invoke(base + ["--axis", lam, "--axis", ratio], capsys)
+    header1, rows1 = rows_of(first)
+    header2, rows2 = rows_of(second)
+    assert header2 == [header1[1], header1[0]] + header1[2:]
+    assert sorted([r[1], r[0]] + r[2:] for r in rows2) == sorted(rows1)
+    for r in rows1:
+        want = 2.0 / (float(r[0]) ** 2 + 2.0)  # Bell fidelity depends on g/lam only
+        assert abs(float(r[2]) - want) < 1e-9
 
 
 def test_sweep_workers_do_not_change_bytes(capsys):

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zenocavity as zc
-from zenocavity.model import coupling_terms, full_space
+from zenocavity.model import coupling_terms, full_space, restrict
 
 ATOL = 1e-12
 
@@ -34,21 +36,17 @@ def test_chi():
         zc.UniformParams(g=0.0, lam=1.0).chi()
 
 
-def test_to_system_mapping():
-    sysp = PARAMS.to_system()
-    assert sysp.g_al == sysp.g_ar == sysp.g_bl == sysp.g_cr == 1.0
-    assert sysp.omega_al == sysp.omega_ar == 0.01
-    assert (sysp.omega_bl, sysp.omega_cr) == (0.02, 0.03)
-    assert sysp.lam_l == sysp.lam_r == 2.0
-
-
 def test_fiber_short_condition():
-    ok = zc.FiberSpec(length=1.0, decay_rate=1.0, light_speed=1.0)
+    ok = zc.FiberSpec(length=1.0, decay_rate=1.0, light_speed=1.0)  # ratio < 1: fine
     assert abs(ok.mode_ratio - 1.0 / math.pi) < ATOL
-    PARAMS.to_system(fiber=ok)  # ratio < 1: fine
-    too_long = zc.FiberSpec(length=10.0, decay_rate=1.0, light_speed=1.0)
     with pytest.raises(ValueError, match="short-fiber"):
-        PARAMS.to_system(fiber=too_long)
+        zc.FiberSpec(length=10.0, decay_rate=1.0, light_speed=1.0)
+
+
+def test_public_names_resolve():
+    missing = [name for name in zc.__all__ if not hasattr(zc, name)]
+    assert missing == []
+    assert len(set(zc.__all__)) == len(zc.__all__)
 
 
 # ---------------------------------------------------------------------------
@@ -57,40 +55,32 @@ def test_fiber_short_condition():
 
 def test_coupling_term_count(space1):
     # 4 cavity + 4 fiber + 4 drive when every rate is on
-    terms = coupling_terms(PARAMS.to_system(), space1)
+    terms = coupling_terms(PARAMS, space1)
     by_part = {}
     for t in terms:
         by_part[t.part] = by_part.get(t.part, 0) + 1
     assert by_part == {"cavity": 4, "fiber": 4, "drive": 4}
     # zero drives drop out of the term list entirely
-    quiet = zc.UniformParams(g=1.0, lam=1.0, omega1=0.01).to_system()
+    quiet = zc.UniformParams(g=1.0, lam=1.0, omega1=0.01)
     parts = [t.part for t in coupling_terms(quiet, space1)]
     assert parts.count("drive") == 2  # omega1 acts on both polarizations
 
 
 def test_build_hamiltonian_hermitian_and_sparse(space1):
     parts = zc.build_hamiltonian(PARAMS, space1)
-    assert parts.is_sparse  # dim 3456 > auto dense limit
+    for m in (parts.cavity, parts.fiber, parts.drive, parts.strong, parts.total):
+        assert sp.issparse(m) and m.format == "csr"
     dev = (parts.total - parts.total.conj().T)
     assert abs(dev).max() < ATOL
     sums = parts.cavity + parts.fiber + parts.drive - parts.total
     assert abs(sums).max() < ATOL
 
 
-def test_build_hamiltonian_dense_matches_sparse(space1):
-    sparse = zc.build_hamiltonian(PARAMS, space1, fmt="sparse")
-    dense = zc.build_hamiltonian(PARAMS, space1, fmt="dense")
-    assert not sp.issparse(dense.total)
-    assert np.max(np.abs(zc.to_dense(sparse.total) - dense.total)) < ATOL
-    with pytest.raises(ValueError):
-        zc.build_hamiltonian(PARAMS, space1, fmt="csr")
-
-
 def test_total_commutes_with_excitation_number(space1):
-    parts = zc.build_hamiltonian(PARAMS, space1, fmt="sparse")
+    parts = zc.build_hamiltonian(PARAMS, space1)
     n = zc.excitation_number(space1)
     assert zc.number_commutator_maxabs(parts.total, n) == 0.0
-    assert zc.number_commutator_maxabs(zc.to_dense(parts.total), n) < ATOL
+    assert zc.number_commutator_maxabs(parts.total.toarray(), n) == 0.0
 
 
 def test_excitation_number_values(space1):
@@ -118,23 +108,34 @@ def test_sector_kets_are_orthonormal_chain(space1):
 
 
 def test_chain_couplings_match_generic_builder(space1):
-    parts = zc.build_hamiltonian(PARAMS, space1, fmt="sparse")
-    h = zc.to_dense(parts.total)
+    parts = zc.build_hamiltonian(PARAMS, space1)
     for branch, tail in ((zc.Branch.LEFT, PARAMS.omega2), (zc.Branch.RIGHT, PARAMS.omega3)):
         kets = zc.sector_kets(space1, branch)
         expected = (PARAMS.omega1, PARAMS.g, PARAMS.lam, PARAMS.lam, PARAMS.g, tail)
         for i, c in enumerate(expected):
-            got = complex(kets[i].vec.conj() @ h @ kets[i + 1].vec)
+            got = complex(kets[i].vec.conj() @ (parts.total @ kets[i + 1].vec))
             assert abs(got - c) < ATOL
 
 
-def test_chain_hamiltonian_matches_restriction(space1):
+@settings(max_examples=10)
+@given(g=st.floats(0.1, 10.0), lam=st.floats(0.1, 10.0),
+       omegas=st.tuples(*[st.floats(0.0, 1.0)] * 3))
+def test_chain_hamiltonian_matches_restriction(space1, g, lam, omegas):
+    # every per-transition rate of the generic builder lands on its chain link
+    params = zc.UniformParams(g, lam, *omegas)
     for branch in (zc.Branch.LEFT, zc.Branch.RIGHT):
-        model = zc.build_branch_model(PARAMS, branch, space=space1)
+        model = zc.build_branch_model(params, branch, space=space1)
         assert model.dim == 7
-        assert np.allclose(model.total, zc.chain_hamiltonian(PARAMS, branch), atol=ATOL)
+        assert np.allclose(model.total, zc.chain_hamiltonian(params, branch), atol=ATOL)
     with pytest.raises(ValueError):
-        zc.chain_hamiltonian(PARAMS, zc.Branch.COMBINED)
+        zc.chain_hamiltonian(params, zc.Branch.COMBINED)
+
+
+def test_restrict_checks_operator_shape(space1, st_model):
+    # sparse and dense input are held to the same parent-space shape
+    for wrong in (sp.identity(5000, format="csr"), np.eye(7), np.zeros((space1.dim, 7))):
+        with pytest.raises(zc.SpaceMismatchError):
+            restrict(wrong, st_model.restricted)
 
 
 def test_closure_is_chain_ordered(space1, st_model):
@@ -154,7 +155,7 @@ def test_closure_ignores_silent_drives(space1):
 
 
 def test_closure_cap_and_seed_validation(space1):
-    parts = zc.build_hamiltonian(PARAMS, space1, fmt="sparse")
+    parts = zc.build_hamiltonian(PARAMS, space1)
     seed = zc.initial_state(space1, zc.Branch.LEFT)
     with pytest.raises(zc.ClosureOverflowError):
         zc.reachable_subspace(parts.total, seed, cap=3)

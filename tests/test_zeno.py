@@ -73,6 +73,8 @@ def test_decompose_validation():
         zc.decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         zc.decompose(np.eye(2), cluster_width=-1.0)
+    with pytest.raises(ValueError, match=r"H_C .*\(0, 0\)"):
+        zc.decompose(np.zeros((0, 0)))
 
 
 @given(seed=st.integers(0, 2**32 - 1))
