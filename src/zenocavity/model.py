@@ -18,8 +18,9 @@ operator onto such a sector as a dense matrix.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -374,9 +375,45 @@ def chain_hamiltonian(params: UniformParams, branch: Branch) -> np.ndarray:
     return h
 
 
-# probe drives only decide connectivity; sector membership must not depend on
-# whether a protocol happens to switch a drive off
-_PROBE = dict(omega1=1.0, omega2=1.0, omega3=1.0)
+# the five couplings every restricted block is linear in, in UniformParams order
+_COUPLINGS = ("g", "lam", "omega1", "omega2", "omega3")
+
+
+@functools.cache
+def _unit_operators(space: HilbertSpace) -> tuple[sp.csr_matrix, ...]:
+    """Full-space total Hamiltonian of each coupling in ``_COUPLINGS`` at value 1."""
+    zero = dict.fromkeys(_COUPLINGS, 0.0)
+    return tuple(build_hamiltonian(UniformParams(**{**zero, name: 1.0}), space).total
+                 for name in _COUPLINGS)
+
+
+@dataclass(frozen=True, eq=False)
+class _Sector:
+    """The parameter-independent part of one branch's model on one space."""
+
+    restricted: RestrictedSpace
+    units: tuple[np.ndarray, ...]  # restricted block per coupling in _COUPLINGS, read-only
+    seed: np.ndarray  # initial state on the parent space, read-only
+    chains: dict[Branch, tuple[int, ...]]  # parent indices of each polarization's chain
+
+
+@functools.cache
+def _sector(branch: Branch, space: HilbertSpace) -> _Sector:
+    """Closure, unit blocks, seed and chain indices, built once per (branch, space).
+
+    The closure runs at unit couplings: sector membership is structural and
+    must not depend on parameter values (a tiny ``g`` or a switched-off drive
+    would otherwise drop its link below the closure tolerance).
+    """
+    units = _unit_operators(space)
+    seed = initial_state(space, branch).vec
+    restricted = reachable_subspace(sum(units[1:], start=units[0]), State(space, seed))
+    blocks = tuple(restrict(u, restricted).real for u in units)
+    for array in (seed, *blocks):
+        array.setflags(write=False)
+    chains = {pol: tuple(int(np.argmax(np.abs(k.vec))) for k in sector_kets(space, pol))
+              for pol in (Branch.LEFT, Branch.RIGHT)}
+    return _Sector(restricted, blocks, seed, chains)
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,8 +434,8 @@ class BranchModel:
 
     def seed(self) -> State:
         """The protocol initial state in restricted coordinates."""
-        full = initial_state(self.space, self.branch)
-        return State(self.restricted, self.restricted.project(full.vec))
+        full = _sector(self.branch, self.space).seed
+        return State(self.restricted, self.restricted.project(full))
 
     def local_index(self, ket: State) -> int:
         idx = int(np.argmax(np.abs(ket.vec)))
@@ -413,24 +450,28 @@ def build_branch_model(
 ) -> BranchModel:
     """Closure plus restricted Hamiltonians for one branch (or the pair).
 
-    The closure is computed with all drives set to a probe value so the
+    The first call per branch and space assembles the full Hamiltonian of
+    each coupling at unit value and takes the closure of their sum, so the
     sector contains the full chain even when some protocol drive is zero.
+    Every block is linear in the couplings, so each call after that is a
+    five-term combination of the cached unit blocks; each chain entry comes
+    from exactly one coupling term, so the result equals a fresh restriction
+    of :func:`build_hamiltonian` bit for bit.
     """
     if params.g <= 0 or params.lam <= 0:
         raise ValueError("branch sectors need g > 0 and lam > 0")
     if space is None:
         space = full_space(cutoff)
-    probe = replace(params, **_PROBE)
-    probe_parts = build_hamiltonian(probe, space)
-    seed = initial_state(space, branch)
-    restricted = reachable_subspace(probe_parts.total, seed)
-    parts = build_hamiltonian(params, space)
+    sector = _sector(branch, space)
+    u_g, u_lam, u_1, u_2, u_3 = sector.units
+    strong = params.g * u_g + params.lam * u_lam
+    drive = params.omega1 * u_1 + params.omega2 * u_2 + params.omega3 * u_3
     return BranchModel(
         branch=branch,
         params=params,
         space=space,
-        restricted=restricted,
-        total=restrict(parts.total, restricted).real,
-        strong=restrict(parts.strong, restricted).real,
-        drive=restrict(parts.drive, restricted).real,
+        restricted=sector.restricted,
+        total=strong + drive,
+        strong=strong,
+        drive=drive,
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .model import Branch, BranchModel, UniformParams, sector_kets
+from .model import Branch, BranchModel, UniformParams, _sector
 from .spaces import RestrictedSpace, require_hermitian
 
 SPECTRAL_TOL = 1e-9
@@ -157,8 +157,8 @@ class DarkBrightBasis:
 
 
 def _sector_positions(model: BranchModel, branch: Branch) -> list[int]:
-    kets = sector_kets(model.space, branch)
-    return [model.restricted.local_index(int(np.argmax(np.abs(k.vec)))) for k in kets]
+    chain = _sector(model.branch, model.space).chains[branch]
+    return [model.restricted.local_index(i) for i in chain]
 
 
 def _dark_columns(params: UniformParams, positions: list[int], dim: int) -> np.ndarray:

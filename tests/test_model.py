@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zenocavity as zc
+import zenocavity.model as model_mod
 from zenocavity.model import coupling_terms, full_space, restrict
 
 ATOL = 1e-12
@@ -209,3 +210,78 @@ def test_branch_model_rejects_degenerate_couplings(space1):
 def test_strong_plus_drive_decomposition(st_model):
     assert np.allclose(st_model.total, st_model.strong + st_model.drive, atol=ATOL)
     assert np.allclose(st_model.strong, st_model.strong.T, atol=ATOL)
+
+
+# ---------------------------------------------------------------------------
+# the cached sector against the full-space oracle
+# ---------------------------------------------------------------------------
+
+BRANCHES = (zc.Branch.LEFT, zc.Branch.RIGHT, zc.Branch.COMBINED)
+
+
+def _oracle_model(params, branch, space):
+    # the uncached path: fresh assembly, closure at probe drives, restriction
+    probe = zc.UniformParams(params.g, params.lam, omega1=1.0, omega2=1.0, omega3=1.0)
+    restricted = zc.reachable_subspace(zc.build_hamiltonian(probe, space).total,
+                                       zc.initial_state(space, branch))
+    parts = zc.build_hamiltonian(params, space)
+    return restricted, {name: restrict(getattr(parts, name), restricted).real
+                        for name in ("total", "strong", "drive")}
+
+
+def _assert_matches_oracle(params, branch, space):
+    model = zc.build_branch_model(params, branch, space=space)
+    restricted, blocks = _oracle_model(params, branch, space)
+    assert model.restricted.indices == restricted.indices
+    for name, block in blocks.items():
+        assert getattr(model, name).tobytes() == block.tobytes(), name
+
+
+_drive = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=10)
+@given(g=st.floats(0.1, 10.0), lam=st.floats(0.1, 10.0),
+       omegas=st.tuples(_drive, _drive, _drive), branch=st.sampled_from(BRANCHES))
+def test_cached_model_equals_the_oracle(space1, g, lam, omegas, branch):
+    _assert_matches_oracle(zc.UniformParams(g, lam, *omegas), branch, space1)
+
+
+def test_cached_model_equals_the_oracle_at_cutoff_two():
+    _assert_matches_oracle(PARAMS, zc.Branch.COMBINED, full_space(2))
+
+
+def test_warm_builds_assemble_nothing(space1, monkeypatch):
+    for branch in BRANCHES:
+        zc.build_branch_model(PARAMS, branch, space=space1)
+    calls = []
+    build = model_mod.build_hamiltonian
+    monkeypatch.setattr(model_mod, "build_hamiltonian",
+                        lambda *a, **k: calls.append(a) or build(*a, **k))
+    fresh = zc.UniformParams(g=0.3, lam=4.0, omega1=0.2, omega3=0.7)
+    for branch in BRANCHES:
+        zc.build_branch_model(fresh, branch, space=space1)
+        zc.build_branch_model(fresh, branch)  # an equal space shares the cache
+    assert calls == []
+
+
+def test_callers_cannot_corrupt_the_cached_sector(space1):
+    first = zc.build_branch_model(PARAMS, zc.Branch.COMBINED, space=space1)
+    for array in (first.total, first.strong, first.drive, first.seed().vec):
+        array[...] = 7.0
+    _assert_matches_oracle(PARAMS, zc.Branch.COMBINED, space1)
+    again = zc.build_branch_model(PARAMS, zc.Branch.COMBINED, space=space1)
+    assert abs(again.seed().norm() - 1.0) < ATOL
+
+
+@pytest.mark.parametrize("g, lam", [(1e-13, 1.0), (1.0, 1e-13), (1e-300, 1e-300)])
+def test_tiny_couplings_keep_the_whole_chain(space1, g, lam):
+    # membership is structural: a link below the closure tolerance stays in
+    params = zc.UniformParams(g=g, lam=lam, omega1=0.01)
+    for branch in BRANCHES:
+        model = zc.build_branch_model(params, branch, space=space1)
+        combined = branch == zc.Branch.COMBINED
+        pols = (zc.Branch.LEFT, zc.Branch.RIGHT) if combined else (branch,)
+        kets = [k for pol in pols for k in zc.sector_kets(space1, pol)]
+        assert model.dim == len(kets)
+        assert sorted(model.local_index(k) for k in kets) == list(range(model.dim))

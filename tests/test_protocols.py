@@ -4,11 +4,14 @@ The effective-engine numbers are closed forms; the full-engine numbers are
 regression values pinned from runs well inside the Zeno regime.
 """
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zenocavity as zc
 from zenocavity.protocols import (
@@ -179,6 +182,36 @@ def test_outcome_probabilities_sum_to_one(sixdim_model):
         hadamard_and_reduce(psi, ["F_l", "F_r"], ("a", "b", "c"),
                             outcome=(1, 1),
                             convention=GateConvention.BEAMSPLITTER)
+
+
+def _outcome_probability(psi, modes, keep, outcome, convention):
+    try:
+        _, p = hadamard_and_reduce(psi, modes, keep, outcome=outcome,
+                                   convention=convention)
+        return p
+    except ValueError as err:  # refused only below the zero-probability tolerance
+        assert "probability ~0" in str(err)
+        return 0.0
+
+
+@settings(max_examples=10)
+@given(omega1=st.floats(1e-3, 0.05), ratio=st.floats(0.0, 5.0),
+       convention=st.sampled_from(list(GateConvention)))
+def test_outcome_probabilities_sum_to_one_at_any_drive_ratio(space1, omega1, ratio,
+                                                             convention):
+    # the combined pulse needs omega2 == omega3, so one ratio sets both
+    params = zc.UniformParams(g=1.0, lam=1.0, omega1=omega1,
+                              omega2=omega1 * ratio, omega3=omega1 * ratio)
+    cases = ((zc.Branch.LEFT, ["F_l"], ("a", "b")),                 # threedim: one mode
+             (zc.Branch.COMBINED, ["F_l", "F_r"], ("a", "b", "c")))  # sixdim: two modes
+    for branch, modes, keep in cases:
+        model = zc.build_branch_model(params, branch, space=space1)
+        tau = zc.solve_timing(params, branch)
+        vec = zc.Propagator(model.total).apply(model.seed().vec, tau)
+        psi = zc.State(model.restricted, vec)
+        total = sum(_outcome_probability(psi, modes, keep, list(outcome), convention)
+                    for outcome in itertools.product((0, 1), repeat=len(modes)))
+        assert abs(total - 1.0) < 1e-10
 
 
 def test_hadamard_trace_returns_no_probability(sixdim_model):
