@@ -12,9 +12,8 @@ Parameters resolve in three layers: built-in defaults, then an optional INI
 config file (``--config``, section ``[params]`` plus one section per protocol
 name), then explicit flags.  Tables are CSV with 12-significant-digit floats,
 single results are JSON, and every file write is atomic (temp file in the
-destination directory, then rename).  Sweep rows are evaluated in row-major
-axis order and formatted in the parent process, so output bytes do not depend
-on ``--workers``.
+destination directory, then rename).  A sweep runs every point in one process,
+in row-major axis order; ``--workers N`` (N >= 1) is accepted and ignored.
 
 Exit codes: 0 success, 2 usage or configuration error, 1 numeric failure.
 """
@@ -30,7 +29,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -310,8 +308,8 @@ def _cmd_protocol(args) -> int:
     return 0
 
 
-def _sweep_eval(task):
-    spec, names, values = task
+def _sweep_eval(spec, names, values):
+    """One CSV row: axis values, the spec engine's scores, gap to the other engine."""
     params = spec.params
     for name, value in sorted(zip(names, values), key=lambda nv: _AXIS_NAMES.index(nv[0])):
         params = _apply_axis(params, name, value)
@@ -321,14 +319,9 @@ def _sweep_eval(task):
     other = Engine.EFFECTIVE if point.engine == Engine.FULL else Engine.FULL
     secondary = run(replace(point, engine=other), model)
     gap = abs(primary.fidelity - secondary.fidelity)
-    return (
-        values,
-        primary.fidelity,
-        primary.negativity,
-        primary.success_probability,
-        primary.tau,
-        gap,
-    )
+    numbers = (*values, primary.fidelity, primary.negativity,
+               primary.success_probability, primary.tau, gap)
+    return tuple(_fmt(v) for v in numbers)
 
 
 def _cmd_sweep(args) -> int:
@@ -350,22 +343,10 @@ def _cmd_sweep(args) -> int:
             raise CliError(f"axis {derived} sets {base}; sweep one of them, not both")
     grids = [grid for _, grid in axes]
 
-    tasks = [(spec, names, list(point)) for point in itertools.product(*grids)]
-    if args.workers == 1:
-        results = [_sweep_eval(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_sweep_eval, tasks))
-
+    rows = [_sweep_eval(spec, names, point) for point in itertools.product(*grids)]
     header = tuple(names) + (
         "fidelity", "negativity", "success_probability", "tau", "engine_gap",
     )
-    rows = []
-    for values, fid, neg, prob, tau, gap in results:
-        rows.append(
-            tuple(_fmt(v) for v in values)
-            + (_fmt(fid), _fmt(neg), _fmt(prob), _fmt(tau), _fmt(gap))
-        )
     _emit(args.out, _csv_text(header, rows))
     return 0
 
@@ -438,7 +419,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="scan parameter axes into a CSV table")
     p.add_argument("--axis", action="append", metavar="NAME:SCALE:START:STOP:COUNT",
                    help="up to two of: " + ", ".join(_AXIS_NAMES))
-    p.add_argument("--workers", type=int, default=1, metavar="N")
+    p.add_argument("--workers", type=int, default=1, metavar="N",
+                   help="accepted for compatibility; has no effect")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("compare", parents=[shared, branchy],

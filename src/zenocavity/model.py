@@ -109,8 +109,9 @@ class UniformParams:
 # operator assembly
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def full_space(cutoff: int = 1) -> HilbertSpace:
-    """The standard nine-factor space at the given photon cutoff."""
+    """The standard nine-factor space at the given photon cutoff, built once each."""
     return HilbertSpace(standard_subsystems(cutoff))
 
 
@@ -445,7 +446,6 @@ class BranchModel:
 def build_branch_model(
     params: UniformParams,
     branch: Branch,
-    cutoff: int = 1,
     space: HilbertSpace | None = None,
 ) -> BranchModel:
     """Closure plus restricted Hamiltonians for one branch (or the pair).
@@ -461,7 +461,7 @@ def build_branch_model(
     if params.g <= 0 or params.lam <= 0:
         raise ValueError("branch sectors need g > 0 and lam > 0")
     if space is None:
-        space = full_space(cutoff)
+        space = full_space()
     sector = _sector(branch, space)
     u_g, u_lam, u_1, u_2, u_3 = sector.units
     strong = params.g * u_g + params.lam * u_lam

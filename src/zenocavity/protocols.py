@@ -51,7 +51,7 @@ from .spaces import (
     negativity,
     partial_trace,
 )
-from .zeno import analytic_dark_bright
+from .zeno import _dark_columns
 
 ZERO_PROBABILITY_TOL = 1e-12
 
@@ -264,8 +264,8 @@ def target_state(spec: ProtocolSpec, model: BranchModel) -> State:
     """The protocol's target ket, in the space where scoring happens."""
     p, branch = spec.protocol, spec.branch
     if p in (Protocol.STATE_TRANSFER, Protocol.SWAP, Protocol.GHZ):
-        basis = analytic_dark_bright(model)
-        col = basis.dark[:, 2] if p == Protocol.STATE_TRANSFER else basis.dark[:, 1]
+        dark = _dark_columns(model, model.branch)
+        col = dark[:, 2] if p == Protocol.STATE_TRANSFER else dark[:, 1]
         return State(model.restricted, col.astype(complex))
     if p in (Protocol.BELL, Protocol.THREE_DIM):
         pol = "l" if branch == Branch.LEFT else "r"

@@ -161,9 +161,18 @@ def _sector_positions(model: BranchModel, branch: Branch) -> list[int]:
     return [model.restricted.local_index(i) for i in chain]
 
 
-def _dark_columns(params: UniformParams, positions: list[int], dim: int) -> np.ndarray:
+def _dark_columns(model: BranchModel, branch: Branch) -> np.ndarray:
+    """Analytic dark columns of ``branch`` in the model's restricted coordinates.
+
+    For the combined branch these are the balanced sums (left + right)/sqrt(2).
+    """
+    if branch == Branch.COMBINED:
+        return (_dark_columns(model, Branch.LEFT)
+                + _dark_columns(model, Branch.RIGHT)) / math.sqrt(2.0)
+    params = model.params
+    positions = _sector_positions(model, branch)
     lam_over = params.lam / (params.g * params.chi())
-    cols = np.zeros((dim, 3))
+    cols = np.zeros((model.dim, 3))
     cols[positions[0], 0] = 1.0
     cols[positions[6], 1] = 1.0
     cols[positions[1], 2] = lam_over
@@ -194,8 +203,7 @@ def sector_dark_columns(model: BranchModel, sector: Branch) -> np.ndarray:
     """Analytic dark columns of one sector, embedded in restricted coordinates."""
     if sector == Branch.COMBINED:
         raise ValueError("pick one sector; the combined basis lives in analytic_dark_bright")
-    pos = _sector_positions(model, sector)
-    return _dark_columns(model.params, pos, model.dim)
+    return _dark_columns(model, sector)
 
 
 def analytic_dark_bright(model: BranchModel) -> DarkBrightBasis:
@@ -204,22 +212,17 @@ def analytic_dark_bright(model: BranchModel) -> DarkBrightBasis:
     if params.g <= 0 or params.lam <= 0:
         raise DegenerateStructureError("dark/bright structure needs g > 0 and lam > 0")
     chi = params.chi()
-    dim = model.dim
+    dark = _dark_columns(model, model.branch)
+    bright = np.zeros((model.dim, 4))
 
     if model.branch == Branch.COMBINED:
-        pos_l = _sector_positions(model, Branch.LEFT)
-        pos_r = _sector_positions(model, Branch.RIGHT)
-        dark = (_dark_columns(params, pos_l, dim)
-                + _dark_columns(params, pos_r, dim)) / math.sqrt(2.0)
-        bright = np.zeros((dim, 4))
-        for pos in (pos_l, pos_r):
+        for sector in (Branch.LEFT, Branch.RIGHT):
+            pos = _sector_positions(model, sector)
             block = model.strong[np.ix_(pos, pos)]
             b = _numeric_bright_block(block, params.g, chi)
             bright[pos, :] += b / math.sqrt(2.0)
     else:
         pos = _sector_positions(model, model.branch)
-        dark = _dark_columns(params, pos, dim)
-        bright = np.zeros((dim, 4))
         bright[pos, :] = _numeric_bright_block(
             model.strong[np.ix_(pos, pos)], params.g, chi
         )

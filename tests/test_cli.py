@@ -266,6 +266,18 @@ def test_sweep_workers_do_not_change_bytes(capsys):
     assert parallel == serial
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_bad_sweep_point_aborts_the_whole_sweep(capsys, tmp_path, workers):
+    # the first point sets omega1 = 0 and bell's default omega2 is 0: no drive at all
+    argv = ["sweep", "--name", "bell", "--axis", "omega1:lin:0:0.001:2",
+            "--workers", workers]
+    for extra in ([], ["--out", str(tmp_path / "sweep.csv")]):
+        code, out, err = invoke(argv + extra, capsys)
+        assert code == 2 and out == ""
+        assert "both drives are zero" in err
+    assert list(tmp_path.iterdir()) == []  # neither the table nor a temp file
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------

@@ -192,7 +192,7 @@ def test_combined_seed_is_balanced(combined_model):
 def test_cutoff_two_reproduces_the_same_sector():
     # the single-excitation chain cannot see the second photon level
     m1 = zc.build_branch_model(PARAMS, zc.Branch.LEFT)
-    m2 = zc.build_branch_model(PARAMS, zc.Branch.LEFT, cutoff=2)
+    m2 = zc.build_branch_model(PARAMS, zc.Branch.LEFT, space=full_space(2))
     assert m2.space.dim == 6 * 3 * 3 * 3**6
     assert m2.dim == 7
     assert np.allclose(m1.total, m2.total, atol=ATOL)
