@@ -72,7 +72,7 @@ _NUMERIC_ERRORS = (
     DegenerateStructureError,
     ClosureOverflowError,
     np.linalg.LinAlgError,
-    FloatingPointError,
+    ArithmeticError,
 )
 
 
@@ -131,6 +131,9 @@ def _load_config(path):
         raise CliError(f"could not parse config {path}: {exc}") from exc
     if not loaded:
         raise CliError(f"config file not found: {path}")
+    unknown = sorted(set(parser.sections()) - {"params", *(p.value for p in Protocol)})
+    if unknown:
+        raise CliError(f"unknown config section(s) {', '.join(unknown)} in {path}")
     return parser
 
 

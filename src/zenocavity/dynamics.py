@@ -28,15 +28,20 @@ class Propagator:
         require_hermitian(h, what="Hamiltonian")
         self.evals, self.evecs = sla.eigh(h)
         self.dim = h.shape[0]
+        self._radius = float(np.max(np.abs(self.evals)))
+
+    def _phases(self, t: float) -> np.ndarray:
+        # exp(-i E t) is NaN once E * t leaves the float range: fail instead
+        if not math.isfinite(self._radius * t):
+            raise FloatingPointError(f"phase E*t is not finite at t = {t:.3g}")
+        return np.exp(-1j * self.evals * t)
 
     def apply(self, vec: np.ndarray, t: float) -> np.ndarray:
         vec = np.asarray(vec, dtype=complex)
-        phases = np.exp(-1j * self.evals * t)
-        return self.evecs @ (phases * (self.evecs.conj().T @ vec))
+        return self.evecs @ (self._phases(t) * (self.evecs.conj().T @ vec))
 
     def unitary(self, t: float) -> np.ndarray:
-        phases = np.exp(-1j * self.evals * t)
-        return (self.evecs * phases) @ self.evecs.conj().T
+        return (self.evecs * self._phases(t)) @ self.evecs.conj().T
 
 
 def evolve(h: np.ndarray, psi, t: float):
@@ -162,7 +167,10 @@ def solve_timing(params: UniformParams, branch: Branch, condition: str = HALF_PI
         ang = DriveAngles.of(params, Branch.LEFT)
     else:
         ang = DriveAngles.of(params, branch)
-    return target / ang.phase_rate
+    tau = target / ang.phase_rate
+    if not math.isfinite(tau):
+        raise OverflowError(f"pulse time is not finite (phase rate {ang.phase_rate:.3g})")
+    return tau
 
 
 def zeno_ratio(params: UniformParams) -> float:

@@ -52,32 +52,6 @@ class Branch(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class FiberSpec:
-    """Fiber geometry; construction enforces the short-fiber condition.
-
-    At most one fiber mode per polarization may be resonant with the
-    cavities, otherwise the single-mode fiber model is invalid.
-    """
-
-    length: float
-    decay_rate: float
-    light_speed: float
-
-    def __post_init__(self):
-        if self.mode_ratio > 1.0:
-            raise ValueError(
-                "short-fiber condition violated: 2*L*nu/(2*pi*c) = "
-                f"{self.mode_ratio:.3f} > 1; the single-mode fiber model"
-                " does not apply"
-            )
-
-    @property
-    def mode_ratio(self) -> float:
-        # number of fiber modes that interact with the cavities, up to O(1)
-        return 2.0 * self.length * self.decay_rate / (2.0 * math.pi * self.light_speed)
-
-
-@dataclass(frozen=True)
 class UniformParams:
     """The symmetric operating point: one g, one lambda, three drives.
 
@@ -219,39 +193,8 @@ def build_hamiltonian(
 
 
 # ---------------------------------------------------------------------------
-# excitation number and sector structure
+# sector closure and restriction
 # ---------------------------------------------------------------------------
-
-def excitation_number(space: HilbertSpace) -> np.ndarray:
-    """Diagonal of the conserved excitation counter.
-
-    Photons count 1 each; atomic ``e``/``f`` levels count 1, ``g`` levels 0.
-    """
-    weights = []
-    for sub in space.subsystems:
-        if sub.is_mode:
-            weights.append(np.arange(sub.dim, dtype=float))
-        else:
-            weights.append(np.array(
-                [0.0 if lv.startswith("g") else 1.0 for lv in sub.levels]
-            ))
-    diag = np.zeros(space.dim)
-    for axis, w in enumerate(weights):
-        shape = [1] * len(space.dims)
-        shape[axis] = space.dims[axis]
-        diag = diag + np.broadcast_to(
-            w.reshape(shape), space.dims
-        ).reshape(space.dim)
-    return diag
-
-
-def number_commutator_maxabs(h, number_diag: np.ndarray) -> float:
-    """max |[H, N]_ij| for diagonal N, without forming the commutator."""
-    coo = sp.coo_matrix(h)
-    if coo.nnz == 0:
-        return 0.0
-    return float(np.max(np.abs(coo.data * (number_diag[coo.row] - number_diag[coo.col]))))
-
 
 def reachable_subspace(
     h,
@@ -354,26 +297,6 @@ def initial_state(space: HilbertSpace, branch: Branch) -> State:
         right = sector_kets(space, Branch.RIGHT)[0]
         return (left + right) * (1.0 / math.sqrt(2.0))
     return sector_kets(space, branch)[0]
-
-
-def chain_hamiltonian(params: UniformParams, branch: Branch) -> np.ndarray:
-    """Hand-written 7x7 tridiagonal block of one single-excitation sector.
-
-    Kept as an independent cross-check against the generic closure-derived
-    restriction; couplings along the chain are (omega1, g, lam, lam, g,
-    omega2 or omega3).
-    """
-    if branch == Branch.LEFT:
-        tail = params.omega2
-    elif branch == Branch.RIGHT:
-        tail = params.omega3
-    else:
-        raise ValueError("chain_hamiltonian is defined per polarization branch")
-    c = (params.omega1, params.g, params.lam, params.lam, params.g, tail)
-    h = np.zeros((7, 7))
-    for i, v in enumerate(c):
-        h[i, i + 1] = h[i + 1, i] = v
-    return h
 
 
 # the five couplings every restricted block is linear in, in UniformParams order

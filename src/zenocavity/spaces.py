@@ -486,8 +486,8 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 def apply_on_mode(state: State, mode: str, mat: np.ndarray) -> State:
     """Apply an arbitrary 2x2 matrix along one cutoff-1 mode axis.
 
-    No unitarity is assumed (measurement and leakage branches need
-    non-unitary factors); use :func:`apply_mode_gate` for proper gates.
+    No unitarity is assumed: measurement and leakage branches need
+    non-unitary factors. Restricted kets are embedded first.
     """
     mat = np.asarray(mat, dtype=complex)
     if mat.shape != (2, 2):
@@ -503,17 +503,3 @@ def apply_on_mode(state: State, mode: str, mat: np.ndarray) -> State:
     tensor = state.vec.reshape(space.dims)
     tensor = np.moveaxis(np.tensordot(mat, tensor, axes=([1], [axis])), 0, axis)
     return State(space, tensor.reshape(space.dim))
-
-
-def apply_mode_gate(state: State, mode: str, gate: np.ndarray) -> State:
-    """Apply a 2x2 unitary to one cutoff-1 boson mode.
-
-    Only two-dimensional modes are supported; the gate must be unitary to
-    within the structural tolerance. Restricted kets are embedded first.
-    """
-    gate = np.asarray(gate, dtype=complex)
-    if gate.shape != (2, 2):
-        raise ValueError(f"gate must be 2x2, got shape {gate.shape}")
-    if np.max(np.abs(gate @ gate.conj().T - np.eye(2))) > STRUCTURAL_TOL:
-        raise ValueError("gate is not unitary to structural tolerance")
-    return apply_on_mode(state, mode, gate)

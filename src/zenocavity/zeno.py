@@ -115,14 +115,6 @@ def zeno_hamiltonian(dec: ZenoDecomposition, h_s: np.ndarray) -> np.ndarray:
     return out
 
 
-def limiting_generator(dec: ZenoDecomposition, h_s: np.ndarray, coupling: float) -> np.ndarray:
-    """Generator of the large-coupling limit: ``sum_n (K E_n P_n + P_n H_S P_n)``."""
-    out = zeno_hamiltonian(dec, h_s)
-    for e, p in zip(dec.eigenvalues, dec.projectors):
-        out += coupling * e * p
-    return out
-
-
 # ---------------------------------------------------------------------------
 # dark / bright structure of the single-excitation sectors
 # ---------------------------------------------------------------------------
@@ -291,8 +283,3 @@ def principal_angles(basis: np.ndarray, projector: np.ndarray) -> np.ndarray:
     res = q - projector @ q
     sines = np.clip(np.linalg.norm(res, axis=0), 0.0, 1.0)
     return np.arcsin(sines)
-
-
-def dark_projector_residual(basis: DarkBrightBasis, strong: np.ndarray) -> np.ndarray:
-    """Norms ||H_strong . D_i|| for each analytic dark column."""
-    return np.linalg.norm(strong @ basis.dark, axis=0)

@@ -1,13 +1,17 @@
 """Command-line behavior: output shapes, config layering, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenocavity.cli import main
+from zenocavity.protocols import Engine, Protocol
 
 
 def invoke(argv, capsys):
@@ -91,6 +95,49 @@ def test_ambiguous_clustering_is_a_numeric_failure(capsys):
     assert "numeric failure" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["protocol", "--name", "bell", "--g", "1e-300"],  # g**2 underflows to 0
+    ["protocol", "--name", "ghz", "--g", "1e300"],  # g**2 overflows
+    ["protocol", "--name", "bell", "--lam", "1e300"],
+    ["sweep", "--name", "ghz", "--axis", "g:log:1e-200:1:3"],
+    # a subnormal phase rate puts the pulse time at infinity
+    ["protocol", "--name", "state_transfer", "--engine", "effective",
+     "--lam", "5e-324", "--omega2", "1"],
+    # a finite pulse time, but E * tau of the full engine overflows
+    ["protocol", "--name", "swap", "--g", "1e-13", "--lam", "5e-324",
+     "--omega1", "1e300", "--omega2", "0.5", "--omega3", "1e-300"],
+])
+def test_arithmetic_edges_are_numeric_failures(capsys, argv):
+    code, out, err = invoke(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("numeric failure:")
+
+
+_EDGE_VALUES = ("0", "5e-324", "1e-300", "1e-150", "1e-13", "0.01", "0.5", "1", "2",
+                "1e13", "1e150", "1e300", "nan", "inf", "-1")
+
+
+@settings(max_examples=150)
+@given(name=st.sampled_from([p.value for p in Protocol]),
+       engine=st.sampled_from([e.value for e in Engine]),
+       values=st.fixed_dictionaries({
+           key: st.one_of(st.none(), st.sampled_from(_EDGE_VALUES))
+           for key in ("g", "lam", "omega1", "omega2", "omega3")}))
+def test_numeric_arguments_never_escape_the_exit_codes(name, engine, values):
+    argv = ["protocol", "--name", name, "--engine", engine]
+    for key, value in values.items():
+        if value is not None:
+            argv += [f"--{key}", value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # a traceback would be an uncaught exception here
+    assert code in (0, 1, 2)
+    if code == 0:  # json only emits NaN, Infinity and -Infinity as bare constants
+        json.loads(out.getvalue(), parse_constant=pytest.fail)
+    else:
+        assert out.getvalue() == ""
+
+
 # ---------------------------------------------------------------------------
 # protocol
 # ---------------------------------------------------------------------------
@@ -149,6 +196,7 @@ def test_config_layering(tmp_path, capsys):
     ("[params]\nbogus = 1\n", "unknown key"),
     ("[state_transfer]\nbogus = 1\n", "unknown key"),
     ("[params]\ng = not-a-number\n", "must be a number"),
+    ("[bel]\ng = 0.5\n", "unknown config section"),
 ])
 def test_bad_config_content(tmp_path, capsys, ini, needle):
     cfg = tmp_path / "bad.ini"

