@@ -292,8 +292,7 @@ def _cmd_darkstates(args) -> int:
     for j, angle in enumerate(angles):
         rows.append(("principal_angle", f"angle{j}", _fmt(angle)))
 
-    sectors = (Branch.LEFT, Branch.RIGHT) if branch == Branch.COMBINED else (branch,)
-    for sector in sectors:
+    for sector in branch.sectors:
         for energy, overlap in bright_comparison(model, sector):
             label = f"{sector.value}:E={_fmt(energy)}"
             rows.append(("bright_overlap", label, _fmt(overlap)))

@@ -50,6 +50,11 @@ class Branch(str, enum.Enum):
     def __str__(self) -> str:  # cleaner CLI/JSON rendering
         return self.value
 
+    @property
+    def sectors(self) -> tuple["Branch", ...]:
+        """The polarization sectors this branch spans: both for COMBINED."""
+        return (Branch.LEFT, Branch.RIGHT) if self is Branch.COMBINED else (self,)
+
 
 @dataclass(frozen=True)
 class UniformParams:
@@ -76,7 +81,11 @@ class UniformParams:
         """Bright-state scale factor sqrt(1 + 2 lam^2 / g^2)."""
         if self.g <= 0:
             raise ValueError("chi is undefined for g = 0")
-        return math.sqrt(1.0 + 2.0 * self.lam**2 / self.g**2)
+        try:
+            return math.sqrt(1.0 + 2.0 * self.lam**2 / self.g**2)
+        except ArithmeticError as exc:  # g**2 underflows to 0, or a square overflows
+            raise type(exc)(f"chi = sqrt(1 + 2 lam^2 / g^2) leaves the float range"
+                            f" at g = {self.g!r}, lam = {self.lam!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +267,12 @@ def restrict(h, subspace: RestrictedSpace) -> np.ndarray:
 # single-excitation sectors
 # ---------------------------------------------------------------------------
 
+# per polarization sector: the level suffix and the cavity-B atom of that
+# polarization; each cavity-B atom rests in its own sector's ground level
+_LAYOUT = {Branch.LEFT: ("l", "b"), Branch.RIGHT: ("r", "c")}
+_REST = {atom: f"g_{pol}" for pol, atom in _LAYOUT.values()}
+
+
 def sector_kets(space: HilbertSpace, branch: Branch) -> list[State]:
     """The seven chain states of one polarization sector, in chain order.
 
@@ -265,38 +280,23 @@ def sector_kets(space: HilbertSpace, branch: Branch) -> list[State]:
     photon in the fiber, photon in cavity B, excited cavity-B atom, cavity-B
     atom transferred to f.
     """
-    if branch == Branch.LEFT:
-        rest = dict(b="g_l", c="g_r")
-        return [
-            space.ket(a="f_l", **rest),
-            space.ket(a="e_l", **rest),
-            space.ket(a="g_l", **rest, A_l=1),
-            space.ket(a="g_l", **rest, F_l=1),
-            space.ket(a="g_l", **rest, B_l=1),
-            space.ket(a="g_l", b="e_l", c="g_r"),
-            space.ket(a="g_l", b="f_l", c="g_r"),
-        ]
-    if branch == Branch.RIGHT:
-        rest = dict(b="g_l", c="g_r")
-        return [
-            space.ket(a="f_r", **rest),
-            space.ket(a="e_r", **rest),
-            space.ket(a="g_r", **rest, A_r=1),
-            space.ket(a="g_r", **rest, F_r=1),
-            space.ket(a="g_r", **rest, B_r=1),
-            space.ket(a="g_r", b="g_l", c="e_r"),
-            space.ket(a="g_r", b="g_l", c="f_r"),
-        ]
-    raise ValueError("sector_kets is defined per polarization branch")
+    if branch not in _LAYOUT:
+        raise ValueError("sector_kets is defined per polarization branch")
+    pol, atom = _LAYOUT[branch]
+    ground = {**_REST, "a": f"g_{pol}"}
+    return [
+        space.ket(**_REST, a=f"f_{pol}"),
+        space.ket(**_REST, a=f"e_{pol}"),
+        *(space.ket(**ground, **{f"{mode}_{pol}": 1}) for mode in "AFB"),
+        space.ket(**{**ground, atom: f"e_{pol}"}),
+        space.ket(**{**ground, atom: f"f_{pol}"}),
+    ]
 
 
 def initial_state(space: HilbertSpace, branch: Branch) -> State:
     """The protocol seed: chain head of the branch, or their balanced sum."""
-    if branch == Branch.COMBINED:
-        left = sector_kets(space, Branch.LEFT)[0]
-        right = sector_kets(space, Branch.RIGHT)[0]
-        return (left + right) * (1.0 / math.sqrt(2.0))
-    return sector_kets(space, branch)[0]
+    heads = [sector_kets(space, sector)[0] for sector in branch.sectors]
+    return sum(heads[1:], start=heads[0]) * (1.0 / math.sqrt(len(heads)))
 
 
 # the five couplings every restricted block is linear in, in UniformParams order
@@ -336,7 +336,7 @@ def _sector(branch: Branch, space: HilbertSpace) -> _Sector:
     for array in (seed, *blocks):
         array.setflags(write=False)
     chains = {pol: tuple(int(np.argmax(np.abs(k.vec))) for k in sector_kets(space, pol))
-              for pol in (Branch.LEFT, Branch.RIGHT)}
+              for pol in Branch.COMBINED.sectors}
     return _Sector(restricted, blocks, seed, chains)
 
 

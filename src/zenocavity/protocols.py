@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,16 +36,13 @@ from .dynamics import (
     solve_timing,
     zeno_ratio,
 )
-from .model import Branch, BranchModel, UniformParams, build_branch_model
+from .model import _LAYOUT, _REST, Branch, BranchModel, UniformParams, build_branch_model
 from .spaces import (
     HADAMARD,
     DensityOp,
     HilbertSpace,
     State,
     apply_on_mode,
-    atom_a,
-    atom_b,
-    atom_c,
     embed,
     fidelity,
     negativity,
@@ -157,6 +154,26 @@ def hadamard_and_reduce(
 # protocol definitions
 # ---------------------------------------------------------------------------
 
+class _Definition(NamedTuple):
+    pulse: str                      # HALF_PI or PI
+    params: UniformParams           # defaults
+    branches: tuple[Branch, ...]    # allowed, the default first
+
+
+_SINGLE = (Branch.LEFT, Branch.RIGHT)
+_COMBINED = (Branch.COMBINED,)
+_UNIT = UniformParams(g=1.0, lam=1.0, omega1=0.01)
+_PROTOCOLS = {
+    Protocol.STATE_TRANSFER: _Definition(HALF_PI, _UNIT, _SINGLE + _COMBINED),
+    Protocol.THREE_DIM: _Definition(HALF_PI, _UNIT, _SINGLE),
+    # Bell wants g << lam; drives stay well inside the Zeno regime
+    Protocol.BELL: _Definition(HALF_PI, replace(_UNIT, g=0.1, omega1=0.001), _SINGLE),
+    Protocol.SWAP: _Definition(PI, replace(_UNIT, omega2=0.01), _SINGLE),
+    Protocol.GHZ: _Definition(PI, replace(_UNIT, omega2=0.01, omega3=0.01), _COMBINED),
+    Protocol.SIX_DIM: _Definition(HALF_PI, _UNIT, _COMBINED),
+}
+
+
 @dataclass(frozen=True)
 class ProtocolSpec:
     """A fully resolved protocol run request."""
@@ -177,13 +194,11 @@ class ProtocolSpec:
         object.__setattr__(self, "engine", Engine(self.engine))
         object.__setattr__(self, "interpretation", Interpretation(self.interpretation))
         object.__setattr__(self, "convention", GateConvention(self.convention))
-        if self.protocol in (Protocol.GHZ, Protocol.SIX_DIM):
-            if self.branch != Branch.COMBINED:
-                raise ValueError(f"{self.protocol} requires the combined branch")
-        elif self.branch == Branch.COMBINED and self.protocol not in (
-            Protocol.STATE_TRANSFER,
-        ):
-            raise ValueError(f"{self.protocol} runs on a single polarization branch")
+        branches = _PROTOCOLS[self.protocol].branches
+        if self.branch not in branches:
+            need = ("requires the combined branch" if branches == _COMBINED
+                    else "runs on a single polarization branch")
+            raise ValueError(f"{self.protocol} {need}")
 
 
 @dataclass(frozen=True)
@@ -217,81 +232,43 @@ class ProtocolResult:
         }
 
 
-_TIMING = {
-    Protocol.STATE_TRANSFER: HALF_PI,
-    Protocol.THREE_DIM: HALF_PI,
-    Protocol.BELL: HALF_PI,
-    Protocol.SIX_DIM: HALF_PI,
-    Protocol.SWAP: PI,
-    Protocol.GHZ: PI,
-}
-
-
 def default_params(protocol: Protocol) -> UniformParams:
-    protocol = Protocol(protocol)
-    if protocol == Protocol.BELL:
-        # Bell wants g << lam; drives stay well inside the Zeno regime
-        return UniformParams(g=0.1, lam=1.0, omega1=0.001)
-    if protocol == Protocol.SWAP:
-        return UniformParams(g=1.0, lam=1.0, omega1=0.01, omega2=0.01)
-    if protocol == Protocol.GHZ:
-        return UniformParams(g=1.0, lam=1.0, omega1=0.01, omega2=0.01, omega3=0.01)
-    return UniformParams(g=1.0, lam=1.0, omega1=0.01)
+    return _PROTOCOLS[Protocol(protocol)].params
 
 
 def default_spec(protocol: Protocol | str, **overrides) -> ProtocolSpec:
     """A runnable spec with per-protocol default branch and parameters."""
     protocol = Protocol(protocol)
-    branch = Branch.COMBINED if protocol in (Protocol.GHZ, Protocol.SIX_DIM) else Branch.LEFT
-    spec = ProtocolSpec(protocol=protocol, branch=branch, params=default_params(protocol))
+    _, params, branches = _PROTOCOLS[protocol]
+    spec = ProtocolSpec(protocol=protocol, branch=branches[0], params=params)
     return replace(spec, **overrides) if overrides else spec
 
 
-def _atom_pair(branch: Branch) -> tuple[str, str]:
-    return ("a", "b") if branch == Branch.LEFT else ("a", "c")
-
-
-def _fiber_mode(branch: Branch) -> str:
-    return "F_l" if branch == Branch.LEFT else "F_r"
-
-
-def _pair_space(branch: Branch) -> HilbertSpace:
-    other = atom_b() if branch == Branch.LEFT else atom_c()
-    return HilbertSpace([atom_a(), other])
+def _atoms(branch: Branch) -> tuple[str, ...]:
+    """The atoms a branch's protocols end on: ``a`` plus each sector's cavity-B atom."""
+    return ("a", *(_LAYOUT[sector][1] for sector in branch.sectors))
 
 
 def target_state(spec: ProtocolSpec, model: BranchModel) -> State:
     """The protocol's target ket, in the space where scoring happens."""
-    p, branch = spec.protocol, spec.branch
-    if p in (Protocol.STATE_TRANSFER, Protocol.SWAP, Protocol.GHZ):
+    if spec.protocol in (Protocol.STATE_TRANSFER, Protocol.SWAP, Protocol.GHZ):
+        # a half-pi pulse ends on the superposition D2, a pi pulse on the transfer D1
+        col = 2 if _PROTOCOLS[spec.protocol].pulse == HALF_PI else 1
         dark = _dark_columns(model, model.branch)
-        col = dark[:, 2] if p == Protocol.STATE_TRANSFER else dark[:, 1]
-        return State(model.restricted, col.astype(complex))
-    if p in (Protocol.BELL, Protocol.THREE_DIM):
-        pol = "l" if branch == Branch.LEFT else "r"
-        other = "b" if branch == Branch.LEFT else "c"
-        sp = _pair_space(branch)
+        return State(model.restricted, dark[:, col].astype(complex))
+    # per sector, on a and its cavity-B atom: eg + ge (bell) or eg - gg + ge
+    signs = (1, 0, 1) if spec.protocol == Protocol.BELL else (1, -1, 1)
+    atoms = _atoms(spec.branch)
+    space = HilbertSpace([sub for sub in model.space.subsystems if sub.name in atoms])
+    rest = {atom: level for atom, level in _REST.items() if atom in atoms}
+    terms = []
+    for sector in spec.branch.sectors:
+        pol, atom = _LAYOUT[sector]
         e, g = f"e_{pol}", f"g_{pol}"
-        eg = sp.ket(**{"a": e, other: g})
-        gg = sp.ket(**{"a": g, other: g})
-        ge = sp.ket(**{"a": g, other: e})
-        if p == Protocol.BELL:
-            return (eg + ge) * (1 / math.sqrt(2))
-        return (eg - gg + ge) * (1 / math.sqrt(3))
-    if p == Protocol.SIX_DIM:
-        sp = HilbertSpace([atom_a(), atom_b(), atom_c()])
-        terms = [
-            (+1, dict(a="e_r", b="g_l", c="g_r")),
-            (-1, dict(a="g_r", b="g_l", c="g_r")),
-            (+1, dict(a="g_r", b="g_l", c="e_r")),
-            (+1, dict(a="e_l", b="g_l", c="g_r")),
-            (-1, dict(a="g_l", b="g_l", c="g_r")),
-            (+1, dict(a="g_l", b="e_l", c="g_r")),
-        ]
-        vec = sum((s * sp.ket(**kw) for s, kw in terms[1:]),
-                  start=terms[0][0] * sp.ket(**terms[0][1]))
-        return vec * (1 / math.sqrt(6))
-    raise ValueError(f"no target defined for {p}")
+        for sign, (level_a, level_b) in zip(signs, ((e, g), (g, g), (g, e))):
+            if sign:
+                terms.append(sign * space.ket(**{**rest, "a": level_a, atom: level_b}))
+    return sum(terms[1:], start=terms[0]) * (1 / math.sqrt(len(terms)))
 
 
 def _regime_flags(spec: ProtocolSpec) -> list[str]:
@@ -315,7 +292,7 @@ def _regime_flags(spec: ProtocolSpec) -> list[str]:
         and math.isclose(p.omega2, p.omega3, rel_tol=1e-12)
     ):
         flags.append("ghz assumes omega1 = omega2 = omega3")
-    if _TIMING[spec.protocol] == PI and spec.k % 2 == 0:
+    if _PROTOCOLS[spec.protocol].pulse == PI and spec.k % 2 == 0:
         flags.append("even k: the pi pulse returns the initial state")
     return flags
 
@@ -330,50 +307,31 @@ def run(spec: ProtocolSpec, model: BranchModel | None = None) -> ProtocolResult:
         model = build_branch_model(spec.params, spec.branch)
     elif model.params != spec.params or model.branch != spec.branch:
         raise ValueError("supplied model does not match the protocol spec")
-    tau = solve_timing(spec.params, spec.branch, _TIMING[spec.protocol], spec.k)
+    tau = solve_timing(spec.params, spec.branch, _PROTOCOLS[spec.protocol].pulse, spec.k)
     flags = _regime_flags(spec)
 
     gen = model.total if spec.engine == Engine.FULL else effective_generator(model)
     psi = State(model.restricted, Propagator(gen).apply(model.seed().vec, tau))
-
     target = target_state(spec, model)
-    prob = None
-    neg = None
 
-    if spec.protocol in (Protocol.STATE_TRANSFER, Protocol.SWAP, Protocol.GHZ):
-        fid = fidelity(psi, target)
-        final: State | DensityOp = psi
-        if spec.protocol == Protocol.GHZ:
-            rho = partial_trace(psi, ("a", "b", "c"))
-            neg = negativity(rho, ("a",))
+    atoms = _atoms(spec.branch)
+    final: State | DensityOp = psi
+    prob = neg = None
+    if spec.protocol in (Protocol.THREE_DIM, Protocol.SIX_DIM):
+        modes = [f"F_{_LAYOUT[sector][0]}" for sector in spec.branch.sectors]
+        final, prob = hadamard_and_reduce(psi, modes, atoms, spec.interpretation,
+                                          spec.outcome, spec.convention)
     elif spec.protocol == Protocol.BELL:
-        rho = partial_trace(psi, _atom_pair(spec.branch))
-        fid = fidelity(rho, target)
-        neg = negativity(rho, ("a",))
-        final = rho
-    elif spec.protocol == Protocol.THREE_DIM:
-        rho, prob = hadamard_and_reduce(
-            psi, [_fiber_mode(spec.branch)], _atom_pair(spec.branch),
-            spec.interpretation, spec.outcome, spec.convention,
-        )
-        fid = fidelity(rho, target)
-        neg = negativity(rho, ("a",))
-        final = rho
-    elif spec.protocol == Protocol.SIX_DIM:
-        rho, prob = hadamard_and_reduce(
-            psi, ["F_l", "F_r"], ("a", "b", "c"),
-            spec.interpretation, spec.outcome, spec.convention,
-        )
-        fid = fidelity(rho, target)
-        neg = negativity(rho, ("a",))
-        final = rho
-    else:
-        raise ValueError(f"unhandled protocol {spec.protocol}")
+        final = partial_trace(psi, atoms)
+    if spec.protocol not in (Protocol.STATE_TRANSFER, Protocol.SWAP):
+        # ghz scores its fidelity on the sector ket but its entanglement on the atoms
+        reduced = final if isinstance(final, DensityOp) else partial_trace(psi, atoms)
+        neg = negativity(reduced, ("a",))
 
     return ProtocolResult(
         spec=spec,
         tau=float(tau),
-        fidelity=float(fid),
+        fidelity=float(fidelity(final, target)),
         success_probability=None if prob is None else float(prob),
         negativity=None if neg is None else float(neg),
         flags=tuple(flags),

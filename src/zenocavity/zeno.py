@@ -125,8 +125,7 @@ def predicted_strong_spectrum(params: UniformParams, branch: Branch = Branch.LEF
         raise DegenerateStructureError("spectrum formula needs g > 0 and lam > 0")
     gx = params.g * params.chi()
     one = [0.0, 0.0, 0.0, params.g, -params.g, gx, -gx]
-    vals = one * 2 if branch == Branch.COMBINED else one
-    return np.sort(np.array(vals))
+    return np.sort(np.array(one * len(Branch(branch).sectors)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,19 +157,17 @@ def _dark_columns(model: BranchModel, branch: Branch) -> np.ndarray:
 
     For the combined branch these are the balanced sums (left + right)/sqrt(2).
     """
-    if branch == Branch.COMBINED:
-        return (_dark_columns(model, Branch.LEFT)
-                + _dark_columns(model, Branch.RIGHT)) / math.sqrt(2.0)
     params = model.params
-    positions = _sector_positions(model, branch)
     lam_over = params.lam / (params.g * params.chi())
     cols = np.zeros((model.dim, 3))
-    cols[positions[0], 0] = 1.0
-    cols[positions[6], 1] = 1.0
-    cols[positions[1], 2] = lam_over
-    cols[positions[3], 2] = -1.0 / params.chi()
-    cols[positions[5], 2] = lam_over
-    return cols
+    for sector in branch.sectors:
+        positions = _sector_positions(model, sector)
+        cols[positions[0], 0] = 1.0
+        cols[positions[6], 1] = 1.0
+        cols[positions[1], 2] = lam_over
+        cols[positions[3], 2] = -1.0 / params.chi()
+        cols[positions[5], 2] = lam_over
+    return cols / math.sqrt(len(branch.sectors))
 
 
 def _numeric_bright_block(block: np.ndarray, g: float, chi: float) -> np.ndarray:
@@ -206,18 +203,11 @@ def analytic_dark_bright(model: BranchModel) -> DarkBrightBasis:
     chi = params.chi()
     dark = _dark_columns(model, model.branch)
     bright = np.zeros((model.dim, 4))
-
-    if model.branch == Branch.COMBINED:
-        for sector in (Branch.LEFT, Branch.RIGHT):
-            pos = _sector_positions(model, sector)
-            block = model.strong[np.ix_(pos, pos)]
-            b = _numeric_bright_block(block, params.g, chi)
-            bright[pos, :] += b / math.sqrt(2.0)
-    else:
-        pos = _sector_positions(model, model.branch)
-        bright[pos, :] = _numeric_bright_block(
-            model.strong[np.ix_(pos, pos)], params.g, chi
-        )
+    sectors = model.branch.sectors
+    for sector in sectors:
+        pos = _sector_positions(model, sector)
+        block = _numeric_bright_block(model.strong[np.ix_(pos, pos)], params.g, chi)
+        bright[pos, :] = block / math.sqrt(len(sectors))
 
     gx = params.g * chi
     return DarkBrightBasis(

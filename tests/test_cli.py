@@ -4,13 +4,14 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zenocavity.cli import main
+from zenocavity.cli import _AXIS_NAMES, main
 from zenocavity.protocols import Engine, Protocol
 
 
@@ -106,11 +107,39 @@ def test_ambiguous_clustering_is_a_numeric_failure(capsys):
     # a finite pulse time, but E * tau of the full engine overflows
     ["protocol", "--name", "swap", "--g", "1e-13", "--lam", "5e-324",
      "--omega1", "1e300", "--omega2", "0.5", "--omega3", "1e-300"],
+    # finite phases, but eps * max|E| * tau is far above the phase resolution
+    ["compare", "--taus", "0:1e300:3"],
+    ["protocol", "--name", "ghz", "--g", "1e150", "--lam", "1e150"],
+    ["protocol", "--name", "state_transfer", "--g", "1e12", "--lam", "1e12"],  # g tau 2.7e14
+    ["protocol", "--name", "bell", "--g", "1e11", "--lam", "1e12"],  # g tau 2.2e14
 ])
 def test_arithmetic_edges_are_numeric_failures(capsys, argv):
     code, out, err = invoke(argv, capsys)
     assert code == 1 and out == ""
     assert err.startswith("numeric failure:")
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["protocol", "--name", "state_transfer", "--g", "1e10", "--lam", "1e10"],
+     0.9999997390768399),  # g tau 2.7e12
+    (["protocol", "--name", "bell", "--g", "1e9", "--lam", "1e10"],
+     0.9950142957638738),  # g tau 2.2e12
+])
+def test_large_couplings_inside_the_phase_resolution_still_run(capsys, argv, want):
+    code, out, err = invoke(argv, capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["fidelity"] == want
+
+
+@pytest.mark.parametrize("argv, couplings", [
+    (["protocol", "--name", "ghz", "--g", "1e300"], "g = 1e+300, lam = 1.0"),  # g**2 overflows
+    (["darkstates", "--g", "1e-170"], "g = 1e-170, lam = 1.0"),  # g**2 underflows to 0
+    (["protocol", "--name", "bell", "--lam", "1e300"], "g = 0.1, lam = 1e+300"),
+])
+def test_chi_failures_name_the_couplings(capsys, argv, couplings):
+    code, out, err = invoke(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("numeric failure: chi") and couplings in err
 
 
 _EDGE_VALUES = ("0", "5e-324", "1e-300", "1e-150", "1e-13", "0.01", "0.5", "1", "2",
@@ -136,6 +165,48 @@ def test_numeric_arguments_never_escape_the_exit_codes(name, engine, values):
         json.loads(out.getvalue(), parse_constant=pytest.fail)
     else:
         assert out.getvalue() == ""
+
+
+def _main_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # a traceback would be an uncaught exception here
+    return code, out.getvalue()
+
+
+def _assert_finite_or_empty_cells(code, text):
+    assert code in (0, 1, 2)
+    if code != 0:
+        assert text == ""
+        return
+    _, rows = rows_of(text)
+    for row in rows:
+        for cell in row:
+            assert cell == "" or math.isfinite(float(cell)), row
+
+
+_EDGE_ENDS = st.sampled_from(_EDGE_VALUES)
+_COUNTS = st.sampled_from(["2", "3"])  # larger counts ask numpy for that many cells
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from([p.value for p in Protocol]),
+       axes=st.lists(st.tuples(st.sampled_from(_AXIS_NAMES), st.sampled_from(["lin", "log"]),
+                               _EDGE_ENDS, _EDGE_ENDS, _COUNTS),
+                     min_size=1, max_size=2, unique_by=lambda axis: axis[0]))
+def test_sweep_axis_ends_never_escape_the_exit_codes(name, axes):
+    argv = ["sweep", "--name", name]
+    for axis in axes:
+        argv += ["--axis", ":".join(axis)]
+    _assert_finite_or_empty_cells(*_main_quietly(argv))
+
+
+@settings(max_examples=60, deadline=None)
+@given(branch=st.sampled_from(["left", "right", "combined"]),
+       start=_EDGE_ENDS, stop=_EDGE_ENDS, count=_COUNTS)
+def test_compare_tau_ends_never_escape_the_exit_codes(branch, start, stop, count):
+    argv = ["compare", "--branch", branch, f"--taus={start}:{stop}:{count}"]
+    _assert_finite_or_empty_cells(*_main_quietly(argv))
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,16 @@ def test_propagator_rejects_an_overflowing_phase():
             prop.unitary(t)
 
 
+def test_propagator_rejects_a_phase_error_above_one_percent():
+    prop = zc.Propagator(np.diag([0.0, -1.0]))  # max|E| = 1
+    eps = np.finfo(float).eps
+    for t in (0.9e-2 / eps, -0.9e-2 / eps):
+        assert np.all(np.isfinite(prop.apply(np.ones(2), t)))
+    for t in (1.1e-2 / eps, -1.1e-2 / eps):
+        with pytest.raises(FloatingPointError, match="phase error"):
+            prop.apply(np.ones(2), t)
+
+
 def test_evolve_wraps_states(st_model):
     psi = st_model.seed()
     out = zc.evolve(st_model.total, psi, 1.0)

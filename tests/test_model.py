@@ -38,6 +38,12 @@ def test_chi():
         zc.UniformParams(g=0.0, lam=1.0).chi()
 
 
+def test_branch_sectors():
+    assert zc.Branch.COMBINED.sectors == (zc.Branch.LEFT, zc.Branch.RIGHT)
+    for branch in (zc.Branch.LEFT, zc.Branch.RIGHT):
+        assert branch.sectors == (branch,)
+
+
 def test_public_names_resolve():
     missing = [name for name in zc.__all__ if not hasattr(zc, name)]
     assert missing == []
