@@ -26,6 +26,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -66,6 +67,9 @@ _SPEC_KEYS = ("branch", "k", "engine", "interpretation", "outcome", "convention"
 # also the order sweep axes are applied in: a derived ratio reads the values
 # of the axes before it (g_over_lam sets g from lam, omega1_over_g omega1 from g)
 _AXIS_NAMES = _PARAM_KEYS + ("g_over_lam", "omega1_over_g")
+
+# largest grid a --taus or --axis flag (or the product of two axes) may ask for
+_MAX_POINTS = 10**6
 
 _NUMERIC_ERRORS = (
     ClusterAmbiguityError,
@@ -213,19 +217,30 @@ def _resolve_spec(args, config):
         raise CliError(str(exc)) from exc
 
 
+def _grid_ends(label: str, flag: str, parts) -> tuple[float, float, int]:
+    """Start, stop and count of one grid flag, all checked before any grid is built."""
+    start = _as_float(f"{label} start", parts[0])
+    stop = _as_float(f"{label} stop", parts[1])
+    count = _as_int(f"{label} count", parts[2])
+    if count < 2:
+        raise CliError(f"{label} count must be at least 2, got {count}")
+    for end, value in (("start", start), ("stop", stop)):
+        if not math.isfinite(value):
+            raise CliError(f"{flag} {end} must be finite, got {value}")
+    if count > _MAX_POINTS:
+        raise CliError(f"{flag} count must be at most {_MAX_POINTS}, got {count}")
+    return start, stop, count
+
+
 def _parse_grid(raw: str) -> np.ndarray:
     parts = raw.split(":")
     if len(parts) != 3:
         raise CliError(f"grid must look like start:stop:count, got {raw!r}")
-    start = _as_float("grid start", parts[0])
-    stop = _as_float("grid stop", parts[1])
-    count = _as_int("grid count", parts[2])
-    if count < 2:
-        raise CliError(f"grid count must be at least 2, got {count}")
-    return np.linspace(start, stop, count)
+    return np.linspace(*_grid_ends("grid", "--taus", parts))
 
 
-def _parse_axis(raw: str):
+def _parse_axis(raw: str) -> tuple[str, str, float, float, int]:
+    """``(name, scale, start, stop, count)`` of one axis; :func:`_axis_grid` builds it."""
     parts = raw.split(":")
     if len(parts) != 5:
         raise CliError(f"axis must look like name:scale:start:stop:count, got {raw!r}")
@@ -234,18 +249,15 @@ def _parse_axis(raw: str):
         raise CliError(f"unknown axis {name!r}; pick one of {', '.join(_AXIS_NAMES)}")
     if scale not in ("lin", "log"):
         raise CliError(f"axis scale must be lin or log, got {scale!r}")
-    start = _as_float("axis start", parts[2])
-    stop = _as_float("axis stop", parts[3])
-    count = _as_int("axis count", parts[4])
-    if count < 2:
-        raise CliError(f"axis count must be at least 2, got {count}")
-    if scale == "log":
-        if start <= 0 or stop <= 0:
-            raise CliError("log axis endpoints must be positive")
-        grid = np.geomspace(start, stop, count)
-    else:
-        grid = np.linspace(start, stop, count)
-    return name, [float(v) for v in grid]
+    start, stop, count = _grid_ends("axis", "--axis", parts[2:])
+    if scale == "log" and (start <= 0 or stop <= 0):
+        raise CliError("log axis endpoints must be positive")
+    return name, scale, start, stop, count
+
+
+def _axis_grid(scale: str, start: float, stop: float, count: int) -> list[float]:
+    spacing = np.geomspace if scale == "log" else np.linspace
+    return [float(v) for v in spacing(start, stop, count)]
 
 
 def _apply_axis(params: UniformParams, name: str, value: float) -> UniformParams:
@@ -337,13 +349,16 @@ def _cmd_sweep(args) -> int:
         raise CliError(f"--workers must be at least 1, got {args.workers}")
 
     axes = [_parse_axis(raw) for raw in args.axis]
-    names = [name for name, _ in axes]
+    names = [name for name, *_ in axes]
     if len(set(names)) != len(names):
         raise CliError("sweep axes must be distinct")
     for derived, base in (("g_over_lam", "g"), ("omega1_over_g", "omega1")):
         if derived in names and base in names:
             raise CliError(f"axis {derived} sets {base}; sweep one of them, not both")
-    grids = [grid for _, grid in axes]
+    points = math.prod(count for *_, count in axes)
+    if points > _MAX_POINTS:
+        raise CliError(f"--axis counts multiply to {points} points, at most {_MAX_POINTS}")
+    grids = [_axis_grid(*ends) for _, *ends in axes]
 
     rows = [_sweep_eval(spec, names, point) for point in itertools.product(*grids)]
     header = tuple(names) + (

@@ -13,11 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .model import Branch, BranchModel, UniformParams
 from .spaces import State, require_hermitian
-from .zeno import sector_dark_columns
+from .zeno import _eigh, sector_dark_columns
 
 _EPS = float(np.finfo(float).eps)
 
@@ -28,7 +27,7 @@ class Propagator:
     def __init__(self, h: np.ndarray):
         h = np.asarray(h)
         require_hermitian(h, what="Hamiltonian")
-        self.evals, self.evecs = sla.eigh(h)
+        self.evals, self.evecs = _eigh(h)
         self.dim = h.shape[0]
         self._radius = float(np.max(np.abs(self.evals)))
 

@@ -318,12 +318,12 @@ class _Sector:
     restricted: RestrictedSpace
     units: tuple[np.ndarray, ...]  # restricted block per coupling in _COUPLINGS, read-only
     seed: np.ndarray  # initial state on the parent space, read-only
-    chains: dict[Branch, tuple[int, ...]]  # parent indices of each polarization's chain
+    positions: dict[Branch, tuple[int, ...]]  # restricted index of each chain state, per sector
 
 
 @functools.cache
 def _sector(branch: Branch, space: HilbertSpace) -> _Sector:
-    """Closure, unit blocks, seed and chain indices, built once per (branch, space).
+    """Closure, unit blocks, seed and chain positions, built once per (branch, space).
 
     The closure runs at unit couplings: sector membership is structural and
     must not depend on parameter values (a tiny ``g`` or a switched-off drive
@@ -335,9 +335,11 @@ def _sector(branch: Branch, space: HilbertSpace) -> _Sector:
     blocks = tuple(restrict(u, restricted).real for u in units)
     for array in (seed, *blocks):
         array.setflags(write=False)
-    chains = {pol: tuple(int(np.argmax(np.abs(k.vec))) for k in sector_kets(space, pol))
-              for pol in Branch.COMBINED.sectors}
-    return _Sector(restricted, blocks, seed, chains)
+    positions = {
+        sector: tuple(restricted.local_index(int(np.argmax(np.abs(k.vec))))
+                      for k in sector_kets(space, sector))
+        for sector in branch.sectors}
+    return _Sector(restricted, blocks, seed, positions)
 
 
 @dataclass(frozen=True, eq=False)

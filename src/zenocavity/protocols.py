@@ -22,6 +22,7 @@ part of what the protocols are for.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
@@ -256,19 +257,28 @@ def target_state(spec: ProtocolSpec, model: BranchModel) -> State:
         col = 2 if _PROTOCOLS[spec.protocol].pulse == HALF_PI else 1
         dark = _dark_columns(model, model.branch)
         return State(model.restricted, dark[:, col].astype(complex))
+    target = _atom_target(spec.protocol, spec.branch, model.space)
+    return State(target.space, target.vec.copy())  # a caller may write to its copy
+
+
+@functools.cache
+def _atom_target(protocol: Protocol, branch: Branch, space: HilbertSpace) -> State:
+    """The atom-space target of bell, threedim and sixdim, built once per key."""
     # per sector, on a and its cavity-B atom: eg + ge (bell) or eg - gg + ge
-    signs = (1, 0, 1) if spec.protocol == Protocol.BELL else (1, -1, 1)
-    atoms = _atoms(spec.branch)
-    space = HilbertSpace([sub for sub in model.space.subsystems if sub.name in atoms])
+    signs = (1, 0, 1) if protocol == Protocol.BELL else (1, -1, 1)
+    atoms = _atoms(branch)
+    atom_space = HilbertSpace([sub for sub in space.subsystems if sub.name in atoms])
     rest = {atom: level for atom, level in _REST.items() if atom in atoms}
     terms = []
-    for sector in spec.branch.sectors:
+    for sector in branch.sectors:
         pol, atom = _LAYOUT[sector]
         e, g = f"e_{pol}", f"g_{pol}"
         for sign, (level_a, level_b) in zip(signs, ((e, g), (g, g), (g, e))):
             if sign:
-                terms.append(sign * space.ket(**{**rest, "a": level_a, atom: level_b}))
-    return sum(terms[1:], start=terms[0]) * (1 / math.sqrt(len(terms)))
+                terms.append(sign * atom_space.ket(**{**rest, "a": level_a, atom: level_b}))
+    target = sum(terms[1:], start=terms[0]) * (1 / math.sqrt(len(terms)))
+    target.vec.setflags(write=False)
+    return target
 
 
 def _regime_flags(spec: ProtocolSpec) -> list[str]:

@@ -15,6 +15,7 @@ gates) validate compatibility before doing any arithmetic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -141,12 +142,14 @@ class HilbertSpace:
             strides[i] = strides[i + 1] * self.dims[i + 1]
         self._strides = tuple(strides)
         self._by_name = {s.name: i for i, s in enumerate(subsystems)}
+        # every functools.cache keyed on a space hashes it; the factors never change
+        self._hash = hash(subsystems)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, HilbertSpace) and self.subsystems == other.subsystems
 
     def __hash__(self) -> int:
-        return hash(self.subsystems)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"HilbertSpace({'x'.join(map(str, self.dims))}, dim={self.dim})"
@@ -380,7 +383,9 @@ def _resolve_keep(space: HilbertSpace, keep: Iterable) -> list[int]:
     return sorted(out)
 
 
-def _kept_space(space: HilbertSpace, kept: list[int]) -> HilbertSpace:
+@functools.cache
+def _kept_space(space: HilbertSpace, kept: tuple[int, ...]) -> HilbertSpace:
+    """The space of the ``kept`` factors of ``space``, built once per pair."""
     return HilbertSpace([space.subsystems[i] for i in kept])
 
 
@@ -402,7 +407,7 @@ def partial_trace(state, keep: Iterable) -> DensityOp:
         tensor = state.vec.reshape(space.dims).transpose(perm)
         dk = int(np.prod([space.dims[i] for i in kept]))
         block = tensor.reshape(dk, -1)
-        return DensityOp(_kept_space(space, kept), block @ block.conj().T)
+        return DensityOp(_kept_space(space, tuple(kept)), block @ block.conj().T)
 
     if isinstance(state, DensityOp):
         space = state.space
@@ -421,7 +426,7 @@ def partial_trace(state, keep: Iterable) -> DensityOp:
             # trace the highest remaining axis pair first so positions stay valid
             tensor = np.trace(tensor, axis1=i, axis2=i + n - offset)
         dk = int(np.prod([space.dims[i] for i in kept]))
-        return DensityOp(_kept_space(space, kept), tensor.reshape(dk, dk))
+        return DensityOp(_kept_space(space, tuple(kept)), tensor.reshape(dk, dk))
 
     raise TypeError(f"expected State or DensityOp, got {type(state).__name__}")
 
@@ -500,6 +505,11 @@ def apply_on_mode(state: State, mode: str, mat: np.ndarray) -> State:
         raise InvalidSubsystemError(
             f"{mode!r} is not a cutoff-1 boson mode; mode gates are only defined there"
         )
-    tensor = state.vec.reshape(space.dims)
-    tensor = np.moveaxis(np.tensordot(mat, tensor, axes=([1], [axis])), 0, axis)
-    return State(space, tensor.reshape(space.dim))
+    # the one np.dot np.tensordot(mat, tensor, axes=([1], [axis])) issues: the
+    # mode axis moved to the front of a contiguous (2, dim / 2) operand
+    n = len(space.dims)
+    order = (axis, *range(axis), *range(axis + 1, n))
+    front = state.vec.reshape(space.dims).transpose(order).reshape(2, -1)
+    out = np.dot(mat, front).reshape([space.dims[i] for i in order])
+    back = (*range(1, axis + 1), 0, *range(axis + 1, n))
+    return State(space, out.transpose(back).reshape(space.dim))

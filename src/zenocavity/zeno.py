@@ -15,14 +15,16 @@ literal versions so reports can quantify the mismatch).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
 
 from .model import Branch, BranchModel, UniformParams, _sector
-from .spaces import RestrictedSpace, require_hermitian
+from .spaces import InvalidSubsystemError, RestrictedSpace, require_hermitian
 
 SPECTRAL_TOL = 1e-9
 
@@ -36,6 +38,41 @@ class ClusterAmbiguityError(ValueError):
 
 class DegenerateStructureError(ValueError):
     """Analytic dark/bright structure needs g > 0 and lam > 0."""
+
+
+# workspace arguments of each driver, in the order its size query returns them
+_WORKSPACE = {"syevr": ("lwork", "liwork"), "heevr": ("lwork", "lrwork", "liwork")}
+
+
+@functools.cache
+def _evr(dtype: np.dtype, n: int):
+    """The LAPACK driver ``scipy.linalg.eigh`` picks for ``dtype``, and its workspace for ``n``."""
+    name = ("he" if dtype.kind == "c" else "sy") + "evr"
+    driver, query = get_lapack_funcs((name, name + "_lwork"), [np.empty((0, 0), dtype)])
+    return driver, dict(zip(_WORKSPACE[name], _compute_lwork(query, n=n, lower=True)))
+
+
+def _eigh(h) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.linalg.eigh(h)`` of one matrix, minus its per-call set-up.
+
+    The same driver (``syevr``/``heevr``, lower triangle, vectors on) with the
+    same workspace sizes, so every output byte is the same; the driver lookup
+    and the workspace query are cached per (dtype, n). The input checks and
+    their errors are those of ``scipy.linalg.eigh``.
+    """
+    a = np.asarray_chkfinite(h)  # ValueError on inf or nan
+    if a.dtype == object:
+        raise ValueError("object arrays are not supported")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError('expected square "a" matrix')
+    n = a.shape[0]
+    driver, workspace = _evr(a.dtype, n)
+    if n == 0:
+        return np.empty(0, driver.dtype.char.lower()), np.empty((0, 0), driver.dtype)
+    w, v, *_, info = driver(a=a, overwrite_a=False, lower=True, compute_v=1, **workspace)
+    if info != 0:
+        raise LinAlgError(f"{driver.__name__} failed with info = {info}")
+    return w, v
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +111,7 @@ def decompose(h_c: np.ndarray, cluster_width: float | None = None) -> ZenoDecomp
     if h_c.size == 0:
         raise ValueError(f"H_C must be a nonempty matrix, got shape {h_c.shape}")
     require_hermitian(h_c, what="H_C")
-    evals, evecs = sla.eigh(h_c)
+    evals, evecs = _eigh(h_c)
     radius = float(np.max(np.abs(evals)))
     if cluster_width is None:
         cluster_width = DEFAULT_CLUSTER_FRACTION * radius
@@ -147,9 +184,13 @@ class DarkBrightBasis:
     bright_eigenvalues: tuple[float, ...]
 
 
-def _sector_positions(model: BranchModel, branch: Branch) -> list[int]:
-    chain = _sector(model.branch, model.space).chains[branch]
-    return [model.restricted.local_index(i) for i in chain]
+def _sector_positions(model: BranchModel, sector: Branch) -> tuple[int, ...]:
+    """Restricted indices of ``sector``'s seven chain states, in chain order."""
+    try:
+        return _sector(model.branch, model.space).positions[sector]
+    except KeyError:
+        raise InvalidSubsystemError(
+            f"the {sector} chain is not in the {model.branch} sector") from None
 
 
 def _dark_columns(model: BranchModel, branch: Branch) -> np.ndarray:
@@ -171,7 +212,7 @@ def _dark_columns(model: BranchModel, branch: Branch) -> np.ndarray:
 
 
 def _numeric_bright_block(block: np.ndarray, g: float, chi: float) -> np.ndarray:
-    evals, evecs = sla.eigh(block)
+    evals, evecs = _eigh(block)
     targets = (g, -g, g * chi, -g * chi)
     scale = max(abs(v) for v in targets)
     cols = []

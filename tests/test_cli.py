@@ -7,11 +7,12 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zenocavity.cli import _AXIS_NAMES, main
+from zenocavity.cli import _AXIS_NAMES, _parse_grid, main
 from zenocavity.protocols import Engine, Protocol
 
 
@@ -207,6 +208,58 @@ def test_sweep_axis_ends_never_escape_the_exit_codes(name, axes):
 def test_compare_tau_ends_never_escape_the_exit_codes(branch, start, stop, count):
     argv = ["compare", "--branch", branch, f"--taus={start}:{stop}:{count}"]
     _assert_finite_or_empty_cells(*_main_quietly(argv))
+
+
+_MAX_POINTS = 10**6
+
+
+@pytest.fixture
+def bounded_grids(monkeypatch):
+    """Fail the test, before numpy allocates anything, on a grid above the cap."""
+    for name in ("linspace", "geomspace"):
+        real = getattr(np, name)
+
+        def guarded(start, stop, num=50, *args, _real=real, **kwargs):
+            assert num <= _MAX_POINTS, f"np.{_real.__name__} asked for {num} points"
+            return _real(start, stop, num, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, guarded)
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["compare", "--taus", "0:1:1000000000000"], "--taus count"),
+    (["compare", "--taus", "0:1:1000001"], "--taus count"),
+    (["sweep", "--name", "bell", "--axis", "omega1:lin:0.001:0.002:1000000000000"],
+     "--axis count"),
+    (["sweep", "--name", "bell", "--axis", "omega1:log:0.001:0.002:1000001"], "--axis count"),
+    # each axis is under the cap, their product is not (and its first point is
+    # a usage error of its own, so a missing product check fails fast)
+    (["sweep", "--name", "bell", "--axis", "omega1:lin:0:1:1001",
+      "--axis", "g:lin:0.1:0.2:1000"], "--axis counts"),
+])
+def test_oversized_grids_are_usage_errors(capsys, bounded_grids, argv, needle):
+    code, out, err = invoke(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + needle) and "1000000" in err
+
+
+def test_a_grid_at_the_cap_is_built(bounded_grids):
+    assert _parse_grid(f"0:1:{_MAX_POINTS}").shape == (_MAX_POINTS,)
+
+
+@pytest.mark.filterwarnings("error")  # numpy's RuntimeWarnings would escape main
+@pytest.mark.parametrize("argv, needle", [
+    (["compare", "--taus=-inf:inf:3"], "--taus start"),
+    (["compare", "--taus", "0:nan:3"], "--taus stop"),
+    (["sweep", "--name", "bell", "--axis", "omega1:lin:inf:1:3"], "--axis start"),
+    (["sweep", "--name", "bell", "--axis", "omega1:log:1e-3:nan:3"], "--axis stop"),
+    (["sweep", "--name", "bell", "--axis", "g_over_lam:lin:0.1:0.2:2",
+      "--axis", "omega1:log:-inf:1e-3:2"], "--axis start"),
+])
+def test_non_finite_grid_ends_are_usage_errors(capsys, argv, needle):
+    code, out, err = invoke(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {needle} must be finite")
 
 
 # ---------------------------------------------------------------------------

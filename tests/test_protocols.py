@@ -7,6 +7,7 @@ regression values pinned from runs well inside the Zeno regime.
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from zenocavity.protocols import (
     Interpretation,
     Protocol,
     ProtocolSpec,
+    _PROTOCOLS,
     default_params,
     default_spec,
     hadamard_and_reduce,
@@ -279,6 +281,42 @@ def test_result_dict_shape_and_determinism(st_model):
     assert list(d["params"]) == ["g", "lam", "omega1", "omega2", "omega3"]
     again = run(spec, model=st_model).to_dict()
     assert json.dumps(d) == json.dumps(again)
+
+
+def _every_branch_spec():
+    return [default_spec(p, branch=b) for p in Protocol for b in _PROTOCOLS[p].branches]
+
+
+@pytest.mark.parametrize("spec", _every_branch_spec(), ids=str)
+def test_writing_to_a_result_does_not_reach_the_next_run(spec):
+    first = run(spec)
+    text, target = json.dumps(first.to_dict()), first.target.vec.copy()
+    first.target.vec[:] = 7.0
+    final = first.final_state
+    (final.vec if isinstance(final, zc.State) else final.mat)[...] = 7.0
+    again = run(spec)
+    assert json.dumps(again.to_dict()) == text
+    assert again.target.vec.tobytes() == target.tobytes()
+
+
+def test_a_warm_run_builds_no_space_and_no_ket(monkeypatch):
+    specs = _every_branch_spec()
+    for spec in specs:
+        run(spec)  # the first run of a (protocol, branch) may build its structure
+    calls = []
+    for name in ("__init__", "ket"):
+        real = getattr(zc.HilbertSpace, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(zc.HilbertSpace, name, counted)
+    for spec, engine, interpretation in itertools.product(specs, Engine, Interpretation):
+        p = spec.params
+        params = replace(p, g=1.1 * p.g, omega1=0.9 * p.omega1)  # a new parameter point
+        run(replace(spec, params=params, engine=engine, interpretation=interpretation))
+    assert calls == []
 
 
 def test_regime_flags():

@@ -319,3 +319,30 @@ def test_apply_mode_gate_validation(space1):
     sp2 = zc.HilbertSpace([atom_b(), boson_mode("m", cutoff=2)])
     with pytest.raises(InvalidSubsystemError):
         apply_on_mode(sp2.ket(b="g_l"), "m", zc.HADAMARD)
+
+
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(MODE_NAMES))
+def test_apply_on_mode_is_the_tensordot_contraction_byte_for_byte(space1, seed, mode):
+    psi = _random_state(space1, seed)
+    rng = np.random.default_rng(seed)
+    mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    axis = space1.subsystem_index(mode)
+    tensor = np.tensordot(mat, psi.vec.reshape(space1.dims), axes=([1], [axis]))
+    want = np.moveaxis(tensor, 0, axis).reshape(space1.dim)
+    assert apply_on_mode(psi, mode, mat).vec.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# structure built once
+# ---------------------------------------------------------------------------
+
+def test_equal_spaces_hash_alike_and_keep_their_hash(space1):
+    twin = zc.HilbertSpace(list(space1.subsystems))
+    assert twin == space1 and hash(twin) == hash(space1) == hash(space1.subsystems)
+
+
+def test_a_reduced_space_is_built_once_per_kept_set(space1):
+    psi = space1.ket(a="g_l", b="g_l", c="g_r", F_l=1)
+    first = zc.partial_trace(psi, ("a", "b")).space
+    assert zc.partial_trace(psi, ("b", "a")).space is first
+    assert zc.partial_trace(zc.partial_trace(psi, ("a", "b", "F_l")), ("a", "b")).space == first

@@ -1,6 +1,7 @@
 """Clustered eigenprojections, dark/bright structure, limiting generator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import zenocavity as zc
 from oracles import chain_hamiltonian, dark_projector_residual, limiting_generator
-from zenocavity.zeno import DEFAULT_CLUSTER_FRACTION
+from zenocavity.zeno import DEFAULT_CLUSTER_FRACTION, _eigh, _numeric_bright_block
 
 ATOL = 1e-12
 
@@ -86,6 +87,72 @@ def test_decompose_random_hermitian_reconstructs(seed):
     dec = zc.decompose(h)
     assert sum(dec.multiplicities) == 6
     assert np.max(np.abs(dec.reconstruct() - h)) < 1e-8 * max(1.0, np.abs(h).max())
+
+
+# ---------------------------------------------------------------------------
+# the eigensolver every spectral path shares; scipy.linalg.eigh is its oracle
+# ---------------------------------------------------------------------------
+
+_NAN = np.array([[np.nan, 0.0], [0.0, 1.0]])
+
+
+def _same_arrays(want, got):
+    assert len(want) == len(got)
+    for w, g in zip(want, got):
+        assert (w.dtype, w.shape) == (g.dtype, g.shape)
+        assert w.tobytes() == g.tobytes()
+
+
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), hermitian=st.booleans())
+def test_eigh_is_scipy_eigh_byte_for_byte(n, seed, hermitian):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    if hermitian:
+        a = a + 1j * rng.normal(size=(n, n))
+    h = a + a.conj().T
+    _same_arrays(sla.eigh(h), _eigh(h))
+    _same_arrays(sla.eigh(np.asfortranarray(h)), _eigh(np.asfortranarray(h)))
+
+
+@pytest.mark.parametrize("dtype", [float, complex, np.float32, np.complex64, int])
+def test_eigh_matches_scipy_eigh_on_every_dtype(dtype):
+    h = np.array([[2, 1, 0], [1, 3, 1], [0, 1, 4]], dtype=dtype)
+    _same_arrays(sla.eigh(h), _eigh(h))
+    _same_arrays(sla.eigh(h[:0, :0]), _eigh(h[:0, :0]))  # an empty matrix is no error
+
+
+@pytest.mark.parametrize("bad", [
+    _NAN,
+    np.array([[np.inf]], dtype=complex),
+    np.zeros((2, 3)),
+    np.zeros(3),
+    np.empty((2, 2), dtype=object),
+])
+def test_eigh_raises_what_scipy_eigh_raises(bad):
+    with pytest.raises(Exception) as want:
+        sla.eigh(bad)
+    with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+        _eigh(bad)
+
+
+def _bright(h):
+    return _numeric_bright_block(h, 1.0, math.sqrt(3.0))
+
+
+@pytest.mark.parametrize("solve, bad, message", [
+    (zc.Propagator, _NAN, "must not contain infs or NaNs"),
+    (zc.Propagator, np.zeros((2, 3)), "could not be broadcast"),
+    (zc.Propagator, np.zeros((0, 0)), "zero-size array"),
+    (zc.decompose, _NAN, "must not contain infs or NaNs"),
+    (zc.decompose, np.zeros((2, 3)), "could not be broadcast"),
+    (zc.decompose, np.zeros((0, 0)), "nonempty matrix"),
+    (_bright, _NAN, "must not contain infs or NaNs"),
+    (_bright, np.zeros((2, 3)), 'expected square "a" matrix'),
+    (_bright, np.zeros((0, 0)), "empty sequence"),
+])
+def test_spectral_callers_keep_their_input_errors(solve, bad, message):
+    with pytest.raises(ValueError, match=message):
+        solve(bad)
 
 
 # ---------------------------------------------------------------------------
