@@ -41,12 +41,20 @@ from .dynamics import (
     zeno_ratio,
 )
 from .model import (
+    _COUPLINGS,
     Branch,
     ClosureOverflowError,
     UniformParams,
     build_branch_model,
 )
-from .protocols import Engine, Protocol, default_params, default_spec, run
+from .protocols import (
+    Engine,
+    GateConvention,
+    Interpretation,
+    Protocol,
+    default_spec,
+    run,
+)
 from .zeno import (
     ClusterAmbiguityError,
     DegenerateStructureError,
@@ -62,11 +70,10 @@ class CliError(ValueError):
     """Bad flags or config content; maps to exit code 2."""
 
 
-_PARAM_KEYS = ("g", "lam", "omega1", "omega2", "omega3")
 _SPEC_KEYS = ("branch", "k", "engine", "interpretation", "outcome", "convention")
 # also the order sweep axes are applied in: a derived ratio reads the values
 # of the axes before it (g_over_lam sets g from lam, omega1_over_g omega1 from g)
-_AXIS_NAMES = _PARAM_KEYS + ("g_over_lam", "omega1_over_g")
+_AXIS_NAMES = _COUPLINGS + ("g_over_lam", "omega1_over_g")
 
 # largest grid a --taus or --axis flag (or the product of two axes) may ask for
 _MAX_POINTS = 10**6
@@ -165,56 +172,42 @@ def _as_int(name: str, raw) -> int:
         raise CliError(f"{name} must be an integer, got {raw!r}") from None
 
 
-def _resolve_params(args, config, base: UniformParams, section=None) -> UniformParams:
-    values = {key: getattr(base, key) for key in _PARAM_KEYS}
-    if config is not None:
-        sections = ["params"] + ([section] if section else [])
-        allowed = {"params": _PARAM_KEYS}
-        if section:
-            allowed[section] = _PARAM_KEYS + _SPEC_KEYS
-        for name in sections:
-            if not config.has_section(name):
-                continue
-            items = _section_items(config, name, allowed[name])
-            for key in _PARAM_KEYS:
-                if key in items:
-                    values[key] = _as_float(key, items[key])
-    for key in _PARAM_KEYS:
-        flag = getattr(args, key)
-        if flag is not None:
-            values[key] = flag
-    try:
-        return UniformParams(**values)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+def _resolve(args, config):
+    """What a subcommand runs on: a ProtocolSpec for protocol and sweep, else a BranchModel.
 
+    Values resolve in layers, each over the one before: the defaults (the
+    protocol's, or the subcommand's), the config's ``[params]``, the protocol's
+    config section, then the flags.
+    """
+    if hasattr(args, "name"):  # protocol and sweep
+        try:
+            protocol = Protocol(args.name)
+        except ValueError:
+            names = ", ".join(p.value for p in Protocol)
+            raise CliError(f"unknown protocol {args.name!r}; pick one of {names}") from None
+        section, base = protocol.value, default_spec(protocol).params
+    else:
+        section, base = None, args.defaults
+    layers = [] if config is None else [
+        _section_items(config, name, allowed)
+        for name, allowed in (("params", _COUPLINGS), (section, _COUPLINGS + _SPEC_KEYS))
+        if name is not None and config.has_section(name)]
+    layers.append({key: getattr(args, key, None) for key in _COUPLINGS + _SPEC_KEYS})
 
-def _resolve_spec(args, config):
-    try:
-        protocol = Protocol(args.name)
-    except ValueError:
-        names = ", ".join(p.value for p in Protocol)
-        raise CliError(f"unknown protocol {args.name!r}; pick one of {names}") from None
-
+    values = {key: getattr(base, key) for key in _COUPLINGS}
     overrides = {}
-    if config is not None and config.has_section(protocol.value):
-        items = _section_items(config, protocol.value, _PARAM_KEYS + _SPEC_KEYS)
-        for key in ("branch", "engine", "interpretation", "convention"):
-            if key in items:
-                overrides[key] = items[key]
-        for key in ("k", "outcome"):
-            if key in items:
-                overrides[key] = _as_int(key, items[key])
-    for key in _SPEC_KEYS:
-        flag = getattr(args, key)
-        if flag is not None:
-            overrides[key] = flag
-
-    params = _resolve_params(args, config, default_params(protocol), protocol.value)
-    try:
-        return default_spec(protocol, params=params, **overrides)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    for layer in layers:
+        for key, raw in layer.items():
+            if raw is None:
+                continue
+            if key in _COUPLINGS:
+                values[key] = _as_float(key, raw)
+            else:
+                overrides[key] = _as_int(key, raw) if key in ("k", "outcome") else raw
+    params = UniformParams(**values)
+    if section is None:
+        return build_branch_model(params, Branch(args.branch))
+    return default_spec(protocol, params=params, **overrides)
 
 
 def _grid_ends(label: str, flag: str, parts) -> tuple[float, float, int]:
@@ -224,7 +217,7 @@ def _grid_ends(label: str, flag: str, parts) -> tuple[float, float, int]:
     count = _as_int(f"{label} count", parts[2])
     if count < 2:
         raise CliError(f"{label} count must be at least 2, got {count}")
-    for end, value in (("start", start), ("stop", stop)):
+    for end, value in (("start", start), ("stop", stop), ("stop - start", stop - start)):
         if not math.isfinite(value):
             raise CliError(f"{flag} {end} must be finite, got {value}")
     if count > _MAX_POINTS:
@@ -272,13 +265,9 @@ def _apply_axis(params: UniformParams, name: str, value: float) -> UniformParams
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_spectrum(args) -> int:
-    config = _load_config(args.config)
-    params = _resolve_params(args, config, UniformParams(g=1.0, lam=1.0))
-    branch = Branch(args.branch)
-    model = build_branch_model(params, branch)
+def _cmd_spectrum(args, model) -> int:
     numeric = np.linalg.eigvalsh(model.strong)
-    predicted = predicted_strong_spectrum(params, branch)
+    predicted = predicted_strong_spectrum(model.params, model.branch)
     rows = [
         (str(i), _fmt(n), _fmt(p), _fmt(abs(n - p)))
         for i, (n, p) in enumerate(zip(numeric, predicted))
@@ -287,11 +276,7 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _cmd_darkstates(args) -> int:
-    config = _load_config(args.config)
-    params = _resolve_params(args, config, UniformParams(g=1.0, lam=1.0))
-    branch = Branch(args.branch)
-    model = build_branch_model(params, branch)
+def _cmd_darkstates(args, model) -> int:
     basis = analytic_dark_bright(model)
 
     rows = []
@@ -304,7 +289,7 @@ def _cmd_darkstates(args) -> int:
     for j, angle in enumerate(angles):
         rows.append(("principal_angle", f"angle{j}", _fmt(angle)))
 
-    for sector in branch.sectors:
+    for sector in model.branch.sectors:
         for energy, overlap in bright_comparison(model, sector):
             label = f"{sector.value}:E={_fmt(energy)}"
             rows.append(("bright_overlap", label, _fmt(overlap)))
@@ -313,12 +298,8 @@ def _cmd_darkstates(args) -> int:
     return 0
 
 
-def _cmd_protocol(args) -> int:
-    config = _load_config(args.config)
-    spec = _resolve_spec(args, config)
-    result = run(spec)
-    text = json.dumps(result.to_dict(), indent=2) + "\n"
-    _emit(args.out, text)
+def _cmd_protocol(args, spec) -> int:
+    _emit(args.out, json.dumps(run(spec).to_dict(), indent=2) + "\n")
     return 0
 
 
@@ -338,9 +319,7 @@ def _sweep_eval(spec, names, values):
     return tuple(_fmt(v) for v in numbers)
 
 
-def _cmd_sweep(args) -> int:
-    config = _load_config(args.config)
-    spec = _resolve_spec(args, config)
+def _cmd_sweep(args, spec) -> int:
     if not args.axis:
         raise CliError("sweep needs at least one --axis")
     if len(args.axis) > 2:
@@ -368,23 +347,16 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    config = _load_config(args.config)
-    params = _resolve_params(args, config, UniformParams(g=1.0, lam=1.0, omega1=0.01))
-    branch = Branch(args.branch)
-    model = build_branch_model(params, branch)
+def _cmd_compare(args, model) -> int:
     if args.taus is not None:
         taus = _parse_grid(args.taus)
     else:
-        try:
-            taus = np.linspace(0.0, solve_timing(params, branch, HALF_PI), 21)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        taus = np.linspace(0.0, solve_timing(model.params, model.branch, HALF_PI), 21)
     rows = [(_fmt(row.tau), _fmt(row.fidelity))
             for row in compare_full_vs_effective(model, taus)]
     _emit(args.out, _csv_text(("tau", "fidelity"), rows))
     if args.out is not None:
-        sys.stdout.write(f"zeno_ratio={_fmt(zeno_ratio(params))}\n")
+        sys.stdout.write(f"zeno_ratio={_fmt(zeno_ratio(model.params))}\n")
     return 0
 
 
@@ -395,7 +367,7 @@ def _cmd_compare(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", metavar="FILE", help="INI config file")
-    for key in _PARAM_KEYS:
+    for key in _COUPLINGS:
         shared.add_argument(f"--{key}", type=float, metavar="X")
     shared.add_argument("--out", metavar="FILE", help="write here instead of stdout")
 
@@ -409,9 +381,9 @@ def _build_parser() -> argparse.ArgumentParser:
     specflags.add_argument("--branch", choices=[b.value for b in Branch])
     specflags.add_argument("--k", type=int, metavar="N")
     specflags.add_argument("--engine", choices=[e.value for e in Engine])
-    specflags.add_argument("--interpretation", choices=["postselect", "trace"])
+    specflags.add_argument("--interpretation", choices=[i.value for i in Interpretation])
     specflags.add_argument("--outcome", type=int, choices=[0, 1])
-    specflags.add_argument("--convention", choices=["unitary", "beamsplitter"])
+    specflags.add_argument("--convention", choices=[c.value for c in GateConvention])
 
     parser = argparse.ArgumentParser(
         prog="zenocavity",
@@ -420,13 +392,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    unit = UniformParams(g=1.0, lam=1.0)
     p = sub.add_parser("spectrum", parents=[shared, branchy],
                        help="numeric vs predicted strong-coupling eigenvalues")
-    p.set_defaults(func=_cmd_spectrum)
+    p.set_defaults(func=_cmd_spectrum, defaults=unit)
 
     p = sub.add_parser("darkstates", parents=[shared, branchy],
                        help="dark-state residuals and bright-form overlaps")
-    p.set_defaults(func=_cmd_darkstates)
+    p.set_defaults(func=_cmd_darkstates, defaults=unit)
 
     p = sub.add_parser("protocol", parents=[shared, specflags],
                        help="run one protocol, emit JSON")
@@ -443,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", parents=[shared, branchy],
                        help="full vs effective fidelity over pulse durations")
     p.add_argument("--taus", metavar="START:STOP:COUNT")
-    p.set_defaults(func=_cmd_compare)
+    p.set_defaults(func=_cmd_compare, defaults=replace(unit, omega1=0.01))
 
     return parser
 
@@ -452,14 +425,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return args.func(args, _resolve(args, _load_config(args.config)))
     except _NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except ValueError as exc:  # CliError and every other bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

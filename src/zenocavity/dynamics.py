@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Branch, BranchModel, UniformParams
-from .spaces import State, require_hermitian
+from .spaces import require_hermitian
 from .zeno import _eigh, sector_dark_columns
 
 _EPS = float(np.finfo(float).eps)
@@ -28,7 +28,6 @@ class Propagator:
         h = np.asarray(h)
         require_hermitian(h, what="Hamiltonian")
         self.evals, self.evecs = _eigh(h)
-        self.dim = h.shape[0]
         self._radius = float(np.max(np.abs(self.evals)))
 
     def _phases(self, t: float) -> np.ndarray:
@@ -46,14 +45,6 @@ class Propagator:
 
     def unitary(self, t: float) -> np.ndarray:
         return (self.evecs * self._phases(t)) @ self.evecs.conj().T
-
-
-def evolve(h: np.ndarray, psi, t: float):
-    """One-shot ``exp(-i h t) psi``; accepts a plain vector or a State."""
-    prop = Propagator(h)
-    if isinstance(psi, State):
-        return State(psi.space, prop.apply(psi.vec, t))
-    return prop.apply(np.asarray(psi, dtype=complex), t)
 
 
 # ---------------------------------------------------------------------------
@@ -92,13 +83,10 @@ class DriveAngles:
         rate = omega * params.lam / (params.g * params.chi())
         return cls(om_a, om_b, omega, theta, rate)
 
-    def phase(self, tau: float) -> float:
-        return self.phase_rate * tau
-
     def amplitudes(self, tau: float) -> tuple[complex, complex, complex]:
         """(A1, A2, A3): weights of the seed, superposition, and transferred
         dark states after a pulse of duration tau."""
-        ph = self.phase(tau)
+        ph = self.phase_rate * tau
         c, s = math.cos(self.theta), math.sin(self.theta)
         a1 = s * s + c * c * math.cos(ph)
         a2 = -1j * c * math.sin(ph)

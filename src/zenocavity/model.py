@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,7 +72,7 @@ class UniformParams:
     omega3: float = 0.0
 
     def __post_init__(self):
-        for name in ("g", "lam", "omega1", "omega2", "omega3"):
+        for name in _COUPLINGS:
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
@@ -82,10 +82,18 @@ class UniformParams:
         if self.g <= 0:
             raise ValueError("chi is undefined for g = 0")
         try:
-            return math.sqrt(1.0 + 2.0 * self.lam**2 / self.g**2)
+            chi = math.sqrt(1.0 + 2.0 * self.lam**2 / self.g**2)
+            if not math.isfinite(chi):  # float * and / overflow to inf without raising
+                raise OverflowError
         except ArithmeticError as exc:  # g**2 underflows to 0, or a square overflows
             raise type(exc)(f"chi = sqrt(1 + 2 lam^2 / g^2) leaves the float range"
                             f" at g = {self.g!r}, lam = {self.lam!r}") from None
+        return chi
+
+
+# the five couplings, in field order: every block is linear in them, and CLI
+# flags, config keys and result JSON name them in this order
+_COUPLINGS = tuple(f.name for f in fields(UniformParams))
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +226,6 @@ def reachable_subspace(
     driven along a coupling chain this reproduces the natural chain order.
     Raises :class:`ClosureOverflowError` if more than ``cap`` states appear.
     """
-    if isinstance(h, HamiltonianParts):
-        h = h.total
     space = seed.space
     if isinstance(space, RestrictedSpace):
         raise InvalidSubsystemError("seed must live on the full space")
@@ -297,10 +303,6 @@ def initial_state(space: HilbertSpace, branch: Branch) -> State:
     """The protocol seed: chain head of the branch, or their balanced sum."""
     heads = [sector_kets(space, sector)[0] for sector in branch.sectors]
     return sum(heads[1:], start=heads[0]) * (1.0 / math.sqrt(len(heads)))
-
-
-# the five couplings every restricted block is linear in, in UniformParams order
-_COUPLINGS = ("g", "lam", "omega1", "omega2", "omega3")
 
 
 @functools.cache

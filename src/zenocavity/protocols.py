@@ -37,7 +37,8 @@ from .dynamics import (
     solve_timing,
     zeno_ratio,
 )
-from .model import _LAYOUT, _REST, Branch, BranchModel, UniformParams, build_branch_model
+from .model import (_COUPLINGS, _LAYOUT, _REST, Branch, BranchModel, UniformParams,
+                    build_branch_model)
 from .spaces import (
     HADAMARD,
     DensityOp,
@@ -123,15 +124,12 @@ def hadamard_and_reduce(
     if any(o not in (0, 1) for o in outcomes):
         raise ValueError(f"outcomes must be 0 or 1, got {outcomes}")
 
-    # each branch is one coherent history; branches add incoherently
+    # each branch is one coherent history, one Kraus operator per mode;
+    # branches add incoherently
+    kraus = (HADAMARD,) if convention == GateConvention.UNITARY else (_BS_KEEP, _BS_LEAK)
     branches = [embed(state)]
     for mode in modes:
-        if convention == GateConvention.UNITARY:
-            branches = [apply_on_mode(b, mode, HADAMARD) for b in branches]
-        else:
-            branches = [apply_on_mode(b, mode, _BS_KEEP) for b in branches] + [
-                apply_on_mode(b, mode, _BS_LEAK) for b in branches
-            ]
+        branches = [apply_on_mode(b, mode, op) for op in kraus for b in branches]
 
     prob = None
     if interpretation == Interpretation.POSTSELECT:
@@ -219,8 +217,7 @@ class ProtocolResult:
         return {
             "name": str(self.spec.protocol),
             "branch": str(self.spec.branch),
-            "params": {"g": p.g, "lam": p.lam, "omega1": p.omega1,
-                       "omega2": p.omega2, "omega3": p.omega3},
+            "params": {name: getattr(p, name) for name in _COUPLINGS},
             "k": self.spec.k,
             "tau": self.tau,
             "engine": str(self.spec.engine),
@@ -231,10 +228,6 @@ class ProtocolResult:
             "success_probability": self.success_probability,
             "flags": list(self.flags),
         }
-
-
-def default_params(protocol: Protocol) -> UniformParams:
-    return _PROTOCOLS[Protocol(protocol)].params
 
 
 def default_spec(protocol: Protocol | str, **overrides) -> ProtocolSpec:

@@ -186,11 +186,6 @@ class HilbertSpace:
             out.append(r)
         return tuple(reversed(out))
 
-    def basis_state(self, occupation: Sequence[int]) -> "State":
-        vec = np.zeros(self.dim, dtype=complex)
-        vec[self.index(occupation)] = 1.0
-        return State(self, vec)
-
     def ket(self, **assignments) -> "State":
         """Basis ket by subsystem name; unassigned modes default to vacuum.
 
@@ -211,7 +206,9 @@ class HilbertSpace:
         extra = set(assignments) - seen
         if extra:
             raise InvalidSubsystemError(f"unknown subsystem names: {sorted(extra)}")
-        return self.basis_state(occ)
+        vec = np.zeros(self.dim, dtype=complex)
+        vec[self.index(occ)] = 1.0
+        return State(self, vec)
 
     def label(self, index: int) -> str:
         """Human-readable basis label, e.g. ``|f_l g_l g_r; 000000>``."""

@@ -24,7 +24,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
 
 from .model import Branch, BranchModel, UniformParams, _sector
-from .spaces import InvalidSubsystemError, RestrictedSpace, require_hermitian
+from .spaces import InvalidSubsystemError, require_hermitian
 
 SPECTRAL_TOL = 1e-9
 
@@ -156,12 +156,17 @@ def zeno_hamiltonian(dec: ZenoDecomposition, h_s: np.ndarray) -> np.ndarray:
 # dark / bright structure of the single-excitation sectors
 # ---------------------------------------------------------------------------
 
+def _bright_energies(params: UniformParams) -> tuple[float, float, float, float]:
+    """The bright eigenvalues of one sector, in bright-column order: +g, -g, +g*chi, -g*chi."""
+    gx = params.g * params.chi()
+    return (params.g, -params.g, gx, -gx)
+
+
 def predicted_strong_spectrum(params: UniformParams, branch: Branch = Branch.LEFT) -> np.ndarray:
     """Closed-form eigenvalues {0,0,0,+g,-g,+g*chi,-g*chi} (doubled if combined)."""
     if params.g <= 0 or params.lam <= 0:
         raise DegenerateStructureError("spectrum formula needs g > 0 and lam > 0")
-    gx = params.g * params.chi()
-    one = [0.0, 0.0, 0.0, params.g, -params.g, gx, -gx]
+    one = [0.0, 0.0, 0.0, *_bright_energies(params)]
     return np.sort(np.array(one * len(Branch(branch).sectors)))
 
 
@@ -176,9 +181,6 @@ class DarkBrightBasis:
     combined branch carries the balanced two-sector combinations).
     """
 
-    branch: Branch
-    restricted: RestrictedSpace
-    chi: float
     dark: np.ndarray
     bright: np.ndarray
     bright_eigenvalues: tuple[float, ...]
@@ -211,9 +213,9 @@ def _dark_columns(model: BranchModel, branch: Branch) -> np.ndarray:
     return cols / math.sqrt(len(branch.sectors))
 
 
-def _numeric_bright_block(block: np.ndarray, g: float, chi: float) -> np.ndarray:
+def _numeric_bright_block(block: np.ndarray, targets: tuple[float, ...]) -> np.ndarray:
+    """Eigenvectors of ``block`` at the eigenvalues ``targets``, one column each."""
     evals, evecs = _eigh(block)
-    targets = (g, -g, g * chi, -g * chi)
     scale = max(abs(v) for v in targets)
     cols = []
     for t in targets:
@@ -241,24 +243,15 @@ def analytic_dark_bright(model: BranchModel) -> DarkBrightBasis:
     params = model.params
     if params.g <= 0 or params.lam <= 0:
         raise DegenerateStructureError("dark/bright structure needs g > 0 and lam > 0")
-    chi = params.chi()
+    energies = _bright_energies(params)
     dark = _dark_columns(model, model.branch)
     bright = np.zeros((model.dim, 4))
     sectors = model.branch.sectors
     for sector in sectors:
         pos = _sector_positions(model, sector)
-        block = _numeric_bright_block(model.strong[np.ix_(pos, pos)], params.g, chi)
+        block = _numeric_bright_block(model.strong[np.ix_(pos, pos)], energies)
         bright[pos, :] = block / math.sqrt(len(sectors))
-
-    gx = params.g * chi
-    return DarkBrightBasis(
-        branch=model.branch,
-        restricted=model.restricted,
-        chi=chi,
-        dark=dark,
-        bright=bright,
-        bright_eigenvalues=(params.g, -params.g, gx, -gx),
-    )
+    return DarkBrightBasis(dark=dark, bright=bright, bright_eigenvalues=energies)
 
 
 def printed_bright_forms(params: UniformParams) -> np.ndarray:
@@ -289,15 +282,12 @@ def bright_comparison(model: BranchModel, sector: Branch) -> list[tuple[float, f
     """
     if sector == Branch.COMBINED:
         raise ValueError("bright comparison is defined per sector")
-    params = model.params
     pos = _sector_positions(model, sector)
-    numeric = _numeric_bright_block(
-        model.strong[np.ix_(pos, pos)], params.g, params.chi()
-    )
-    printed = printed_bright_forms(params)[1:6, :]  # chain interior only
+    energies = _bright_energies(model.params)
+    numeric = _numeric_bright_block(model.strong[np.ix_(pos, pos)], energies)
+    printed = printed_bright_forms(model.params)[1:6, :]  # chain interior only
     out = []
-    gx = params.g * params.chi()
-    for i, e in enumerate((params.g, -params.g, gx, -gx)):
+    for i, e in enumerate(energies):
         ov = abs(np.vdot(printed[:, i], numeric[1:6, i])) ** 2
         out.append((float(e), float(ov)))
     return out

@@ -136,6 +136,11 @@ def test_large_couplings_inside_the_phase_resolution_still_run(capsys, argv, wan
     (["protocol", "--name", "ghz", "--g", "1e300"], "g = 1e+300, lam = 1.0"),  # g**2 overflows
     (["darkstates", "--g", "1e-170"], "g = 1e-170, lam = 1.0"),  # g**2 underflows to 0
     (["protocol", "--name", "bell", "--lam", "1e300"], "g = 0.1, lam = 1e+300"),
+    # 2 lam^2 / g^2 overflows to inf in float arithmetic, which raises nothing
+    (["spectrum", "--g", "1e-5", "--lam", "1e150"], "g = 1e-05, lam = 1e+150"),
+    (["darkstates", "--g", "1e154", "--lam", "1e154"], "g = 1e+154, lam = 1e+154"),
+    (["protocol", "--name", "bell", "--g", "1e-5", "--lam", "1e150"],
+     "g = 1e-05, lam = 1e+150"),
 ])
 def test_chi_failures_name_the_couplings(capsys, argv, couplings):
     code, out, err = invoke(argv, capsys)
@@ -255,6 +260,12 @@ def test_a_grid_at_the_cap_is_built(bounded_grids):
     (["sweep", "--name", "bell", "--axis", "omega1:log:1e-3:nan:3"], "--axis stop"),
     (["sweep", "--name", "bell", "--axis", "g_over_lam:lin:0.1:0.2:2",
       "--axis", "omega1:log:-inf:1e-3:2"], "--axis start"),
+    # finite ends whose difference overflows
+    (["compare", "--taus=-1e308:1e308:3"], "--taus stop - start"),
+    (["sweep", "--name", "bell", "--axis", "omega1:lin:-1e308:1e308:3"],
+     "--axis stop - start"),
+    (["sweep", "--name", "bell", "--axis", "g_over_lam:lin:1e308:-1e308:2"],
+     "--axis stop - start"),
 ])
 def test_non_finite_grid_ends_are_usage_errors(capsys, argv, needle):
     code, out, err = invoke(argv, capsys)

@@ -65,16 +65,6 @@ def test_propagator_rejects_a_phase_error_above_one_percent():
             prop.apply(np.ones(2), t)
 
 
-def test_evolve_wraps_states(st_model):
-    psi = st_model.seed()
-    out = zc.evolve(st_model.total, psi, 1.0)
-    assert isinstance(out, zc.State)
-    assert out.space is psi.space
-    assert abs(out.norm() - 1.0) < 1e-12
-    raw = zc.evolve(st_model.total, psi.vec, 1.0)
-    assert np.allclose(raw, out.vec, atol=ATOL)
-
-
 # ---------------------------------------------------------------------------
 # closed-form dark dynamics
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Hamiltonian assembly, conservation laws, and the sector closure."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,13 @@ def test_chi():
     assert abs(zc.UniformParams(g=2.0, lam=1.0).chi() - math.sqrt(1.5)) < ATOL
     with pytest.raises(ValueError):
         zc.UniformParams(g=0.0, lam=1.0).chi()
+
+
+@pytest.mark.parametrize("g, lam", [(1e-5, 1e150), (1e154, 1e154)])
+def test_chi_never_returns_infinity(g, lam):
+    # float * and / overflow to inf without raising; chi must still fail loudly
+    with pytest.raises(OverflowError, match=re.escape(f"g = {g!r}, lam = {lam!r}")):
+        zc.UniformParams(g=g, lam=lam).chi()
 
 
 def test_branch_sectors():

@@ -22,7 +22,6 @@ from zenocavity.protocols import (
     Protocol,
     ProtocolSpec,
     _PROTOCOLS,
-    default_params,
     default_spec,
     hadamard_and_reduce,
     run,
@@ -40,7 +39,7 @@ ST_TAU = 272.0699046351327
 
 @pytest.fixture(scope="module")
 def sixdim_model(space1):
-    return zc.build_branch_model(default_params(Protocol.SIX_DIM),
+    return zc.build_branch_model(default_spec(Protocol.SIX_DIM).params,
                                  zc.Branch.COMBINED, space=space1)
 
 
@@ -247,7 +246,7 @@ def test_hadamard_validation(space1):
 
 def test_spec_coerces_strings():
     spec = ProtocolSpec(protocol="bell", branch="right",
-                        params=default_params("bell"),
+                        params=default_spec("bell").params,
                         engine="effective", interpretation="trace",
                         convention="beamsplitter")
     assert spec.protocol is Protocol.BELL
@@ -347,10 +346,10 @@ def test_regime_flags():
 
 
 def test_default_params_table():
-    assert default_params("bell") == zc.UniformParams(g=0.1, lam=1.0, omega1=0.001)
-    assert default_params("swap").omega2 == 0.01
-    ghz = default_params("ghz")
+    assert default_spec("bell").params == zc.UniformParams(g=0.1, lam=1.0, omega1=0.001)
+    assert default_spec("swap").params.omega2 == 0.01
+    ghz = default_spec("ghz").params
     assert ghz.omega1 == ghz.omega2 == ghz.omega3 == 0.01
-    assert default_params("sixdim") == zc.UniformParams(g=1.0, lam=1.0, omega1=0.01)
+    assert default_spec("sixdim").params == zc.UniformParams(g=1.0, lam=1.0, omega1=0.01)
     assert default_spec("sixdim").branch is zc.Branch.COMBINED
     assert default_spec("bell").branch is zc.Branch.LEFT

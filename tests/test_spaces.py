@@ -273,7 +273,7 @@ def test_negativity_validation(space1):
         zc.negativity(psi, ("a", "b"))
     big = zc.HilbertSpace([atom_a(), boson_mode("x", 3), boson_mode("y", 3)])
     with pytest.raises(ValueError):
-        zc.negativity(big.basis_state((0, 0, 0)), ("x",))  # dim 96 > cap
+        zc.negativity(big.ket(a="f_l"), ("x",))  # dim 96 > cap
     sub = zc.RestrictedSpace(space1, (0, 1))
     with pytest.raises(SpaceMismatchError):
         zc.negativity(zc.DensityOp(sub, np.eye(2) / 2), ("a",))

@@ -136,7 +136,7 @@ def test_eigh_raises_what_scipy_eigh_raises(bad):
 
 
 def _bright(h):
-    return _numeric_bright_block(h, 1.0, math.sqrt(3.0))
+    return _numeric_bright_block(h, (1.0, -1.0, math.sqrt(3.0), -math.sqrt(3.0)))
 
 
 @pytest.mark.parametrize("solve, bad, message", [
