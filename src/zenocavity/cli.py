@@ -189,21 +189,28 @@ def _resolve(args, config):
     else:
         section, base = None, args.defaults
     layers = [] if config is None else [
-        _section_items(config, name, allowed)
+        (name, _section_items(config, name, allowed))
         for name, allowed in (("params", _COUPLINGS), (section, _COUPLINGS + _SPEC_KEYS))
         if name is not None and config.has_section(name)]
-    layers.append({key: getattr(args, key, None) for key in _COUPLINGS + _SPEC_KEYS})
+    layers.append((None, {key: getattr(args, key, None) for key in _COUPLINGS + _SPEC_KEYS}))
 
     values = {key: getattr(base, key) for key in _COUPLINGS}
     overrides = {}
-    for layer in layers:
+    for name, layer in layers:
         for key, raw in layer.items():
             if raw is None:
                 continue
-            if key in _COUPLINGS:
-                values[key] = _as_float(key, raw)
-            else:
-                overrides[key] = _as_int(key, raw) if key in ("k", "outcome") else raw
+            try:
+                if key in _COUPLINGS:
+                    values[key] = _as_float(key, raw)
+                elif section is not None:
+                    value = _as_int(key, raw) if key in ("k", "outcome") else raw
+                    default_spec(protocol, **{key: value})  # the spec's own check of this key
+                    overrides[key] = value
+            except ValueError as exc:
+                if name is None:  # the flags
+                    raise
+                raise CliError(f"config section [{name}], key {key}: {exc}") from None
     params = UniformParams(**values)
     if section is None:
         return build_branch_model(params, Branch(args.branch))

@@ -188,11 +188,16 @@ class ProtocolSpec:
 
     def __post_init__(self):
         # coerce strings coming from the CLI/config layer
-        object.__setattr__(self, "protocol", Protocol(self.protocol))
-        object.__setattr__(self, "branch", Branch(self.branch))
-        object.__setattr__(self, "engine", Engine(self.engine))
-        object.__setattr__(self, "interpretation", Interpretation(self.interpretation))
-        object.__setattr__(self, "convention", GateConvention(self.convention))
+        for key, kind in (("protocol", Protocol), ("branch", Branch), ("engine", Engine),
+                          ("interpretation", Interpretation), ("convention", GateConvention)):
+            value = getattr(self, key)
+            try:
+                object.__setattr__(self, key, kind(value))
+            except ValueError:
+                choices = ", ".join(repr(member.value) for member in kind)
+                raise ValueError(f"{key} must be one of {choices}, got {value!r}") from None
+        if self.outcome not in (0, 1):
+            raise ValueError(f"outcome must be 0 or 1, got {self.outcome!r}")
         branches = _PROTOCOLS[self.protocol].branches
         if self.branch not in branches:
             need = ("requires the combined branch" if branches == _COMBINED

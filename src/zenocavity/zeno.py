@@ -16,12 +16,15 @@ literal versions so reports can quantify the mismatch).
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
+from numpy.linalg import LinAlgError  # the class scipy.linalg raises too
 
 from .model import Branch, BranchModel, UniformParams, _sector
 from .spaces import InvalidSubsystemError, require_hermitian
@@ -42,14 +45,64 @@ class DegenerateStructureError(ValueError):
 
 # workspace arguments of each driver, in the order its size query returns them
 _WORKSPACE = {"syevr": ("lwork", "liwork"), "heevr": ("lwork", "lrwork", "liwork")}
+# LAPACK prefix per dtype character, as scipy's get_lapack_funcs picks it; any
+# other dtype (ints, long double) runs in double precision
+_PREFIX = dict.fromkeys("?bBhHef", "s") | {"F": "c", "D": "z", "G": "z"}
+_PRECISION = {"s": np.float32, "d": np.float64, "c": np.complex64, "z": np.complex128}
+
+
+@functools.cache
+def _flapack():
+    """scipy's Fortran LAPACK extension, without importing ``scipy.linalg``.
+
+    The extension needs only numpy, so it is loaded from its file under its own
+    name (its init symbol is ``PyInit__flapack``) and then dropped from
+    ``sys.modules``, where a later ``import scipy.linalg`` loads its own copy.
+    Once ``scipy.linalg`` is loaded, or if the file is not where scipy keeps it,
+    this is a plain import.
+    """
+    name = "scipy.linalg._flapack"
+    if "scipy.linalg" not in sys.modules:
+        import scipy
+
+        finder = importlib.machinery.FileFinder(  # find_spec(name) imports scipy.linalg
+            os.path.join(os.path.dirname(scipy.__file__), "linalg"),
+            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules.pop(name, None)
+            return module
+    from scipy.linalg import _flapack
+    return _flapack
 
 
 @functools.cache
 def _evr(dtype: np.dtype, n: int):
-    """The LAPACK driver ``scipy.linalg.eigh`` picks for ``dtype``, and its workspace for ``n``."""
-    name = ("he" if dtype.kind == "c" else "sy") + "evr"
-    driver, query = get_lapack_funcs((name, name + "_lwork"), [np.empty((0, 0), dtype)])
-    return driver, dict(zip(_WORKSPACE[name], _compute_lwork(query, n=n, lower=True)))
+    """The routine ``scipy.linalg.eigh`` picks for ``dtype``, its dtype and its ``n`` workspace.
+
+    The workspace sizes are rounded as ``scipy.linalg.lapack._compute_lwork``
+    rounds them: a single-precision query is stepped up to the next float32
+    before truncation, and every size must fit LAPACK's 32-bit integers.
+    """
+    prefix = _PREFIX.get(dtype.char, "d")
+    name = ("he" if prefix in "cz" else "sy") + "evr"
+    lapack = _flapack()
+    *sizes, info = getattr(lapack, prefix + name + "_lwork")(n=n, lower=True)
+    if info != 0:
+        raise ValueError(f"Internal work array size computation failed: {info}")
+    workspace = {}
+    for key, size in zip(_WORKSPACE[name], sizes):
+        size = size.real
+        if prefix in "sc":
+            size = np.nextafter(size, np.inf, dtype=np.float32)
+        size = int(size)
+        if not 0 <= size <= np.iinfo(np.int32).max:
+            raise ValueError("Too large work array required -- computation cannot be "
+                             "performed with standard 32-bit LAPACK.")
+        workspace[key] = size
+    return getattr(lapack, prefix + name), np.dtype(_PRECISION[prefix]), workspace
 
 
 def _eigh(h) -> tuple[np.ndarray, np.ndarray]:
@@ -66,12 +119,12 @@ def _eigh(h) -> tuple[np.ndarray, np.ndarray]:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError('expected square "a" matrix')
     n = a.shape[0]
-    driver, workspace = _evr(a.dtype, n)
+    routine, precision, workspace = _evr(a.dtype, n)
     if n == 0:
-        return np.empty(0, driver.dtype.char.lower()), np.empty((0, 0), driver.dtype)
-    w, v, *_, info = driver(a=a, overwrite_a=False, lower=True, compute_v=1, **workspace)
+        return np.empty(0, precision.char.lower()), np.empty((0, 0), precision)
+    w, v, *_, info = routine(a=a, overwrite_a=False, lower=True, compute_v=1, **workspace)
     if info != 0:
-        raise LinAlgError(f"{driver.__name__} failed with info = {info}")
+        raise LinAlgError(f"{routine.__name__} failed with info = {info}")
     return w, v
 
 

@@ -342,6 +342,34 @@ def test_bad_config_content(tmp_path, capsys, ini, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize("command,name,ini,key,needle", [
+    # the --outcome flag takes 0 or 1, and so does the config key
+    ("protocol", "bell", "[bell]\noutcome = 5\n", "outcome", "0 or 1"),
+    ("protocol", "threedim", "[threedim]\noutcome = 5\n", "outcome", "0 or 1"),
+    ("sweep", "sixdim", "[sixdim]\noutcome = -1\n", "outcome", "0 or 1"),
+    # an enum names its choices, as argparse does for the flag
+    ("protocol", "bell", "[bell]\nbranch = up\n", "branch", "'left', 'right', 'combined'"),
+    ("protocol", "ghz", "[ghz]\nengine = fast\n", "engine", "'effective', 'full'"),
+    ("sweep", "threedim", "[threedim]\nconvention = mirror\n", "convention",
+     "'unitary', 'beamsplitter'"),
+    ("protocol", "ghz", "[ghz]\nbranch = left\n", "branch", "combined branch"),
+    ("protocol", "swap", "[swap]\nk = one\n", "k", "must be an integer"),
+    ("protocol", "bell", "[params]\nlam = big\n", "lam", "must be a number"),
+])
+def test_config_errors_name_their_section_and_key(tmp_path, capsys, command, name, ini, key,
+                                                  needle):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(ini)
+    argv = [command, "--name", name, "--config", str(cfg)]
+    if command == "sweep":
+        argv += ["--axis", "omega1:lin:0.005:0.01:2"]
+    code, out, err = invoke(argv, capsys)
+    assert (code, out) == (2, "")
+    section = ini.partition("]")[0] + "]"
+    assert f"config section {section}, key {key}:" in err
+    assert needle in err
+
+
 @pytest.mark.parametrize("argv,needle", [
     (["protocol", "--name", "teleport"], "unknown protocol"),
     (["protocol", "--name", "ghz", "--branch", "left"], "combined branch"),

@@ -1,17 +1,22 @@
 """Clustered eigenprojections, dark/bright structure, limiting generator."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
 from hypothesis import given
 from hypothesis import strategies as st
 
 import zenocavity as zc
 from oracles import chain_hamiltonian, dark_projector_residual, limiting_generator
-from zenocavity.zeno import DEFAULT_CLUSTER_FRACTION, _eigh, _numeric_bright_block
+from zenocavity.zeno import DEFAULT_CLUSTER_FRACTION, _eigh, _evr, _numeric_bright_block
 
 ATOL = 1e-12
 
@@ -133,6 +138,60 @@ def test_eigh_raises_what_scipy_eigh_raises(bad):
         sla.eigh(bad)
     with pytest.raises(type(want.value), match=re.escape(str(want.value))):
         _eigh(bad)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64, np.complex128, np.int64])
+def test_evr_workspace_is_what_scipy_computes(dtype):
+    name = ("he" if np.dtype(dtype).kind == "c" else "sy") + "evr"
+    query = get_lapack_funcs(name + "_lwork", [np.empty((0, 0), dtype)])
+    for n in range(1, 65):
+        want = _compute_lwork(query, n=n, lower=True)
+        assert tuple(_evr(np.dtype(dtype), n)[2].values()) == want
+
+
+# The suite imports scipy.linalg, so in this process _eigh runs on scipy's own
+# copy of the LAPACK extension. A fresh process runs the other load path.
+_FRESH_PROCESS = r"""
+import contextlib, io, sys
+import numpy as np
+import test_golden as golden
+from zenocavity.cli import main
+from zenocavity.zeno import _eigh
+
+def check(what):
+    assert "scipy.linalg" not in sys.modules, f"{what} imported scipy.linalg"
+
+check("import")
+for part, test in (("protocol-cli", golden.test_protocol_cli_bytes),
+                   ("run-reuse", golden.test_run_reuse_bytes),
+                   ("sweep-grid", golden.test_sweep_grid_bytes)):
+    for key in sorted(golden.REFERENCE[part]):
+        test(key)
+    check(part)
+for argv in (["protocol", "--name", "sixdim"], ["compare"], ["spectrum"],
+             ["darkstates", "--branch", "combined"],
+             ["sweep", "--name", "swap", "--axis", "omega1:lin:0.005:0.01:2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    check(argv[0])
+
+import scipy.linalg
+rng = np.random.default_rng(0)
+for dtype in (np.float32, float, np.complex64, complex):
+    a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    h = (a + a.conj().T).astype(dtype)
+    for want, got in zip(scipy.linalg.eigh(h), _eigh(h)):
+        assert (want.dtype, want.tobytes()) == (got.dtype, got.tobytes()), dtype
+"""
+
+
+def test_a_fresh_process_never_imports_scipy_linalg():
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _FRESH_PROCESS], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def _bright(h):
