@@ -91,10 +91,21 @@ class GateConvention(str, enum.Enum):
         return self.value
 
 
+def _constant(rows) -> np.ndarray:
+    """A read-only complex 2x2 mode operator, converted once."""
+    mat = np.array(rows, dtype=complex)
+    mat.setflags(write=False)
+    return mat
+
+
 # number-conserving splitter against a vacuum ancilla: photon stays (with the
 # Hadamard's sign) or leaks out; vacuum is untouched
-_BS_KEEP = np.array([[1.0, 0.0], [0.0, -1.0 / math.sqrt(2.0)]])
-_BS_LEAK = np.array([[0.0, 1.0 / math.sqrt(2.0)], [0.0, 0.0]])
+_BS_KEEP = _constant([[1.0, 0.0], [0.0, -1.0 / math.sqrt(2.0)]])
+_BS_LEAK = _constant([[0.0, 1.0 / math.sqrt(2.0)], [0.0, 0.0]])
+# one coherent history per Kraus operator, and the projector on each Fock outcome
+_KRAUS = {GateConvention.UNITARY: (_constant(HADAMARD),),
+          GateConvention.BEAMSPLITTER: (_BS_KEEP, _BS_LEAK)}
+_OUTCOME_PROJECTORS = (_constant([[1.0, 0.0], [0.0, 0.0]]), _constant([[0.0, 0.0], [0.0, 1.0]]))
 
 
 def hadamard_and_reduce(
@@ -126,16 +137,14 @@ def hadamard_and_reduce(
 
     # each branch is one coherent history, one Kraus operator per mode;
     # branches add incoherently
-    kraus = (HADAMARD,) if convention == GateConvention.UNITARY else (_BS_KEEP, _BS_LEAK)
     branches = [embed(state)]
     for mode in modes:
-        branches = [apply_on_mode(b, mode, op) for op in kraus for b in branches]
+        branches = [apply_on_mode(b, mode, op) for op in _KRAUS[convention] for b in branches]
 
     prob = None
     if interpretation == Interpretation.POSTSELECT:
         for mode, o in zip(modes, outcomes):
-            proj = np.diag([1.0 - o, float(o)])
-            branches = [apply_on_mode(b, mode, proj) for b in branches]
+            branches = [apply_on_mode(b, mode, _OUTCOME_PROJECTORS[int(o)]) for b in branches]
         prob = sum(b.norm() ** 2 for b in branches)
         if prob < ZERO_PROBABILITY_TOL:
             raise ValueError(
@@ -198,6 +207,8 @@ class ProtocolSpec:
                 raise ValueError(f"{key} must be one of {choices}, got {value!r}") from None
         if self.outcome not in (0, 1):
             raise ValueError(f"outcome must be 0 or 1, got {self.outcome!r}")
+        if self.k < 1 or int(self.k) != self.k:  # solve_timing's check, named at resolve
+            raise ValueError(f"k must be a positive integer, got {self.k}")
         branches = _PROTOCOLS[self.protocol].branches
         if self.branch not in branches:
             need = ("requires the combined branch" if branches == _COMBINED

@@ -367,7 +367,7 @@ def require_hermitian(mat: np.ndarray, tol: float = STRUCTURAL_TOL, what: str = 
 # reductions, fidelity, negativity
 # ---------------------------------------------------------------------------
 
-def _resolve_keep(space: HilbertSpace, keep: Iterable) -> list[int]:
+def _resolve_keep(space: HilbertSpace, keep: Iterable) -> tuple[int, ...]:
     out = []
     for k in keep:
         out.append(space.subsystem_index(k) if isinstance(k, str) else int(k))
@@ -377,13 +377,48 @@ def _resolve_keep(space: HilbertSpace, keep: Iterable) -> list[int]:
         if not 0 <= i < len(space.dims):
             raise InvalidSubsystemError(f"subsystem index {i} out of range")
     # preserve the original tensor order regardless of how keep was written
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 @functools.cache
 def _kept_space(space: HilbertSpace, kept: tuple[int, ...]) -> HilbertSpace:
     """The space of the ``kept`` factors of ``space``, built once per pair."""
     return HilbertSpace([space.subsystems[i] for i in kept])
+
+
+# Index maps: ``flat.take(index)`` is the C-contiguous copy that
+# ``flat.reshape(shape).transpose(axes).reshape(rows, -1)`` makes, so every
+# BLAS/LAPACK call receives the same array. Each is built once per structure
+# key (a space and a tuple of axes, never a parameter value) and is read-only.
+
+def _index_map(shape: tuple[int, ...], axes: tuple[int, ...], rows: int) -> np.ndarray:
+    index = np.arange(int(np.prod(shape)), dtype=np.intp)
+    index = np.ascontiguousarray(index.reshape(shape).transpose(axes).reshape(rows, -1))
+    index.setflags(write=False)
+    return index
+
+
+@functools.cache
+def _mode_front(space: HilbertSpace, axis: int) -> np.ndarray:
+    """The (2, dim / 2) operand of a gate on cutoff-1 mode ``axis``: that axis in front."""
+    n = len(space.dims)
+    return _index_map(space.dims, (axis, *range(axis), *range(axis + 1, n)), 2)
+
+
+@functools.cache
+def _kept_block(space: HilbertSpace, kept: tuple[int, ...]) -> np.ndarray:
+    """The (dk, rest) block of a ket whose ``kept`` factors index the rows."""
+    rest = tuple(i for i in range(len(space.dims)) if i not in kept)
+    return _index_map(space.dims, kept + rest, _kept_space(space, kept).dim)
+
+
+@functools.cache
+def _partial_transpose(space: HilbertSpace, part: tuple[int, ...]) -> np.ndarray:
+    """The flattened density matrix with the row and column axes of ``part`` swapped."""
+    n = len(space.dims)
+    rows = [i + n if i in part else i for i in range(n)]
+    cols = [i if i in part else i + n for i in range(n)]
+    return _index_map(space.dims * 2, (*rows, *cols), space.dim)
 
 
 def partial_trace(state, keep: Iterable) -> DensityOp:
@@ -400,11 +435,12 @@ def partial_trace(state, keep: Iterable) -> DensityOp:
         kept = _resolve_keep(space, keep)
         if len(kept) == len(space.dims):
             return density(state)
-        perm = kept + [i for i in range(len(space.dims)) if i not in kept]
-        tensor = state.vec.reshape(space.dims).transpose(perm)
-        dk = int(np.prod([space.dims[i] for i in kept]))
-        block = tensor.reshape(dk, -1)
-        return DensityOp(_kept_space(space, tuple(kept)), block @ block.conj().T)
+        reduced = _kept_space(space, kept)
+        if kept == tuple(range(len(kept))):  # a prefix: the block is a view
+            block = state.vec.reshape(reduced.dim, -1)
+        else:
+            block = state.vec.take(_kept_block(space, kept))
+        return DensityOp(reduced, block @ block.conj().T)
 
     if isinstance(state, DensityOp):
         space = state.space
@@ -423,7 +459,7 @@ def partial_trace(state, keep: Iterable) -> DensityOp:
             # trace the highest remaining axis pair first so positions stay valid
             tensor = np.trace(tensor, axis1=i, axis2=i + n - offset)
         dk = int(np.prod([space.dims[i] for i in kept]))
-        return DensityOp(_kept_space(space, tuple(kept)), tensor.reshape(dk, dk))
+        return DensityOp(_kept_space(space, kept), tensor.reshape(dk, dk))
 
     raise TypeError(f"expected State or DensityOp, got {type(state).__name__}")
 
@@ -466,15 +502,7 @@ def negativity(state, partition: Iterable) -> float:
     part = _resolve_keep(space, partition)
     if not part or len(part) == len(space.dims):
         raise InvalidSubsystemError("partition must be a proper nonempty subset")
-    n = len(space.dims)
-    tensor = rho.mat.reshape(space.dims + space.dims)
-    tensor = np.transpose(
-        tensor,
-        [i + n if i in part else i for i in range(n)]
-        + [i - n if (i - n) in part else i for i in range(n, 2 * n)],
-    )
-    pt = tensor.reshape(space.dim, space.dim)
-    evals = np.linalg.eigvalsh(pt)
+    evals = np.linalg.eigvalsh(rho.mat.take(_partial_transpose(space, part)))
     return float(np.sum(np.abs(evals[evals < 0])))
 
 
@@ -502,11 +530,9 @@ def apply_on_mode(state: State, mode: str, mat: np.ndarray) -> State:
         raise InvalidSubsystemError(
             f"{mode!r} is not a cutoff-1 boson mode; mode gates are only defined there"
         )
-    # the one np.dot np.tensordot(mat, tensor, axes=([1], [axis])) issues: the
-    # mode axis moved to the front of a contiguous (2, dim / 2) operand
-    n = len(space.dims)
-    order = (axis, *range(axis), *range(axis + 1, n))
-    front = state.vec.reshape(space.dims).transpose(order).reshape(2, -1)
-    out = np.dot(mat, front).reshape([space.dims[i] for i in order])
-    back = (*range(1, axis + 1), 0, *range(axis + 1, n))
-    return State(space, out.transpose(back).reshape(space.dim))
+    # the one np.dot that np.tensordot(mat, tensor, axes=([1], [axis])) makes,
+    # on the same (2, dim / 2) operand; the result goes back through the same map
+    front = _mode_front(space, axis)
+    out = np.empty(space.dim, dtype=complex)
+    out[front] = np.dot(mat, state.vec.take(front))
+    return State(space, out)

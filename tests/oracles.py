@@ -61,3 +61,32 @@ def limiting_generator(dec: zc.ZenoDecomposition, h_s: np.ndarray,
 def dark_projector_residual(basis: zc.DarkBrightBasis, strong: np.ndarray) -> np.ndarray:
     """Norms ||H_strong . D_i|| for each analytic dark column."""
     return np.linalg.norm(strong @ basis.dark, axis=0)
+
+
+def reduced_density(state: zc.State, kept: tuple[int, ...]) -> np.ndarray:
+    """``Tr_rest |psi><psi|`` with the kept factors transposed to the front of the ket tensor.
+
+    ``kept`` lists factor positions in tensor order.
+    """
+    state = zc.embed(state)
+    dims = state.space.dims
+    perm = list(kept) + [i for i in range(len(dims)) if i not in kept]
+    dk = int(np.prod([dims[i] for i in kept]))
+    block = state.vec.reshape(dims).transpose(perm).reshape(dk, -1)
+    return block @ block.conj().T
+
+
+def partial_transpose(rho: zc.DensityOp, part: tuple[int, ...]) -> np.ndarray:
+    """``rho`` with the row and column axes of the ``part`` factors swapped."""
+    dims = rho.space.dims
+    n = len(dims)
+    tensor = rho.mat.reshape(dims + dims).transpose(
+        [i + n if i in part else i for i in range(n)]
+        + [i - n if (i - n) in part else i for i in range(n, 2 * n)])
+    return tensor.reshape(rho.space.dim, rho.space.dim)
+
+
+def negativity(rho: zc.DensityOp, part: tuple[int, ...]) -> float:
+    """Sum of |negative eigenvalues| of the partial transpose over ``part``."""
+    evals = np.linalg.eigvalsh(partial_transpose(rho, part))
+    return float(np.sum(np.abs(evals[evals < 0])))

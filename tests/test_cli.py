@@ -354,6 +354,8 @@ def test_bad_config_content(tmp_path, capsys, ini, needle):
      "'unitary', 'beamsplitter'"),
     ("protocol", "ghz", "[ghz]\nbranch = left\n", "branch", "combined branch"),
     ("protocol", "swap", "[swap]\nk = one\n", "k", "must be an integer"),
+    ("protocol", "swap", "[swap]\nk = 0\n", "k", "k must be a positive integer, got 0"),
+    ("sweep", "bell", "[bell]\nk = -2\n", "k", "k must be a positive integer, got -2"),
     ("protocol", "bell", "[params]\nlam = big\n", "lam", "must be a number"),
 ])
 def test_config_errors_name_their_section_and_key(tmp_path, capsys, command, name, ini, key,

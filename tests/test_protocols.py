@@ -265,6 +265,30 @@ def test_sector_infidelity_is_second_order_in_the_zeno_ratio(protocol, g, lam, l
     assert 1.0 - row.fidelity <= ZENO_LIMIT_C2 * r**2
 
 
+# The sweep's engine_gap, |F_full - F_effective| at the protocol's pulse, over
+# the same ranges: g and lam in [0.3, 3], r log-uniform in [1e-4, 0.05], drives
+# r * min(g, lam) on the atoms each protocol drives. Whole-ket scores
+# (state_transfer, swap, ghz) see the O(r) bright admixture squared; reduced
+# atom states (bell, threedim, sixdim) see it linearly. Measured on 1400 points
+# per protocol, edges included: below 0.26 r and 2.21 r^2.
+ENGINE_GAP_C1 = 0.5
+REDUCED_STATE = (Protocol.BELL, Protocol.THREE_DIM, Protocol.SIX_DIM)
+
+
+@given(protocol=st.sampled_from(list(Protocol)), g=st.floats(0.3, 3.0),
+       lam=st.floats(0.3, 3.0), log_r=st.floats(math.log(1e-4), math.log(0.05)))
+def test_engine_gap_is_first_order_on_reduced_states_and_second_order_on_kets(protocol, g,
+                                                                                lam, log_r):
+    r = math.exp(log_r)
+    driven = {key: r * min(g, lam) for key in ("omega1", "omega2", "omega3")
+              if getattr(default_spec(protocol).params, key) > 0}
+    spec = default_spec(protocol, params=zc.UniformParams(g=g, lam=lam, **driven))
+    model = zc.build_branch_model(spec.params, spec.branch)
+    gap = abs(run(spec, model).fidelity
+              - run(replace(spec, engine=Engine.EFFECTIVE), model).fidelity)
+    assert gap <= (ENGINE_GAP_C1 * r if protocol in REDUCED_STATE else ZENO_LIMIT_C2 * r**2)
+
+
 # ---------------------------------------------------------------------------
 # spec plumbing
 # ---------------------------------------------------------------------------
@@ -293,6 +317,12 @@ def test_spec_branch_rules():
 def test_spec_outcome_must_be_0_or_1(outcome):
     with pytest.raises(ValueError, match="outcome must be 0 or 1, got"):
         default_spec("threedim", outcome=outcome)
+
+
+@pytest.mark.parametrize("k", [0, -3, 1.5])
+def test_spec_k_must_be_a_positive_integer(k):
+    with pytest.raises(ValueError, match=f"k must be a positive integer, got {k}"):
+        default_spec("swap", k=k)
 
 
 @pytest.mark.parametrize("key,value,choices", [

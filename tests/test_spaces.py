@@ -1,15 +1,21 @@
 """State-space layer: indexing, reductions, fidelity, negativity, mode gates."""
 
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import zenocavity as zc
+from zenocavity import spaces
+from zenocavity.protocols import _KRAUS, _OUTCOME_PROJECTORS
 from zenocavity.spaces import (
     MODE_NAMES,
+    NEGATIVITY_DIM_CAP,
     InvalidSubsystemError,
     SpaceMismatchError,
     apply_on_mode,
@@ -321,15 +327,74 @@ def test_apply_mode_gate_validation(space1):
         apply_on_mode(sp2.ket(b="g_l"), "m", zc.HADAMARD)
 
 
-@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(MODE_NAMES))
-def test_apply_on_mode_is_the_tensordot_contraction_byte_for_byte(space1, seed, mode):
-    psi = _random_state(space1, seed)
+# every operator the protocols put on a mode, plus None for a random matrix
+_MODE_OPERATORS = [None, zc.HADAMARD, *(op for ops in _KRAUS.values() for op in ops),
+                   *_OUTCOME_PROJECTORS]
+
+
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(MODE_NAMES),
+       mat=st.sampled_from(_MODE_OPERATORS), sparse=st.booleans(), data=st.data())
+def test_apply_on_mode_is_the_tensordot_contraction_byte_for_byte(space1, seed, mode, mat,
+                                                                  sparse, data):
+    psi = data.draw(_sparse_kets(space1)) if sparse else _random_state(space1, seed)
     rng = np.random.default_rng(seed)
-    mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    if mat is None:
+        mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     axis = space1.subsystem_index(mode)
-    tensor = np.tensordot(mat, psi.vec.reshape(space1.dims), axes=([1], [axis]))
+    tensor = np.tensordot(mat, zc.embed(psi).vec.reshape(space1.dims), axes=([1], [axis]))
     want = np.moveaxis(tensor, 0, axis).reshape(space1.dim)
     assert apply_on_mode(psi, mode, mat).vec.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# gathers match the transpose formulations byte for byte
+# ---------------------------------------------------------------------------
+
+# signed zeros included: a gather must copy them, not recompute them
+_PARTS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def _sparse_kets(draw, space):
+    """A full-space or restricted ket on 1-60 basis states."""
+    support = draw(st.lists(st.integers(0, space.dim - 1), min_size=1, max_size=60,
+                            unique=True))
+    amps = np.array([complex(draw(_PARTS), draw(_PARTS)) for _ in support])
+    if draw(st.booleans()):
+        return zc.State(zc.RestrictedSpace(space, tuple(support)), amps)
+    vec = np.zeros(space.dim, dtype=complex)
+    vec[support] = amps
+    return zc.State(space, vec)
+
+
+def _kept_sets(space, cap):
+    """Every proper set of factor positions whose reduced space is at most ``cap``."""
+    n = len(space.dims)
+    return [kept for size in range(1, n) for kept in itertools.combinations(range(n), size)
+            if math.prod(space.dims[i] for i in kept) <= cap]
+
+
+@settings(max_examples=10)  # each example reduces to all 417 kept sets
+@given(data=st.data())
+def test_partial_trace_is_the_transpose_formulation_byte_for_byte(space1, data):
+    psi = data.draw(_sparse_kets(space1))
+    kept_sets = _kept_sets(space1, 216)
+    assert len(kept_sets) == 417 and (0, 2) in kept_sets  # (a, c) is not a prefix
+    for kept in kept_sets:
+        got = zc.partial_trace(psi, kept)
+        assert got.mat.tobytes() == oracles.reduced_density(psi, kept).tobytes(), kept
+
+
+@given(data=st.data())
+def test_negativity_is_the_transpose_formulation_byte_for_byte(space1, data):
+    psi = data.draw(_sparse_kets(space1))
+    kept = data.draw(st.sampled_from(
+        [kept for kept in _kept_sets(space1, NEGATIVITY_DIM_CAP) if len(kept) > 1]))
+    rho = zc.partial_trace(psi, kept)
+    n = len(kept)
+    for part in (p for size in range(1, n) for p in itertools.combinations(range(n), size)):
+        got = np.float64(zc.negativity(rho, part))
+        assert got.tobytes() == np.float64(oracles.negativity(rho, part)).tobytes(), part
 
 
 # ---------------------------------------------------------------------------
@@ -346,3 +411,23 @@ def test_a_reduced_space_is_built_once_per_kept_set(space1):
     first = zc.partial_trace(psi, ("a", "b")).space
     assert zc.partial_trace(psi, ("b", "a")).space is first
     assert zc.partial_trace(zc.partial_trace(psi, ("a", "b", "F_l")), ("a", "b")).space == first
+
+
+def test_index_maps_are_read_only_and_a_warm_run_builds_none(space1):
+    specs = [zc.default_spec(p, branch=b, convention=c, interpretation=i)
+             for p, b in (("bell", "right"), ("threedim", "left"), ("threedim", "right"),
+                          ("ghz", "combined"), ("sixdim", "combined"))
+             for c in zc.GateConvention for i in zc.Interpretation]
+    maps = (spaces._mode_front, spaces._kept_block, spaces._partial_transpose)
+    for spec in specs:
+        zc.run(spec)  # the first run of a structure key may build its map
+    built = [cached.cache_info().misses for cached in maps]
+    for spec in specs:
+        zc.run(replace(spec, params=replace(spec.params, g=1.1 * spec.params.g)))
+    assert [cached.cache_info().misses for cached in maps] == built
+    for index in (spaces._mode_front(space1, space1.subsystem_index("F_r")),
+                  spaces._kept_block(space1, (0, 2)),
+                  spaces._partial_transpose(zc.HilbertSpace(list(space1.subsystems[:3])), (0,))):
+        assert index.dtype == np.intp and index.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            index[0, 0] = 0
