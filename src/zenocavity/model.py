@@ -8,7 +8,8 @@ same-polarization mode of both cavities), and classical drives on the
 + h.c.`` with real nonnegative coefficients, so every matrix here is real
 symmetric.
 
-Operators are assembled as sparse (CSR) Kronecker products. The physically
+Operators are sparse (CSR) Kronecker products, assembled entry by entry
+with the index arithmetic of ``sp.kron``. The physically
 relevant blocks are the single-excitation sectors picked out by
 :func:`reachable_subspace`, which are 7-dimensional per polarization branch
 (14 for the combined two-branch space); :func:`restrict` compresses an
@@ -160,14 +161,30 @@ def coupling_terms(params: UniformParams, space: HilbertSpace) -> list[CouplingT
     return terms
 
 
-def _materialize(term: CouplingTerm, space: HilbertSpace) -> sp.csr_matrix:
-    locals_ = dict(term.factors)
-    out = sp.identity(1, format="csr")
+def _materialize(term: CouplingTerm, space: HilbertSpace) -> tuple[np.ndarray, ...]:
+    """Rows, columns and values of ``coeff * kron(O_1, ..., O_n)``, identities filled in.
+
+    Built by index arithmetic, one factor at a time as ``sp.kron`` builds it:
+    an entry's row and column are mixed-radix numbers of its local rows and
+    columns, and its value is the product of one local entry per factor,
+    multiplied in factor order, so each value has the bytes of the Kronecker
+    chain.
+    """
+    local = dict(term.factors)
+    rows = cols = np.zeros(1, dtype=np.intp)
+    values = np.ones(1)
     for sub in space.subsystems:
-        m = locals_.get(sub.name)
-        factor = sp.csr_matrix(m) if m is not None else sp.identity(sub.dim, format="csr")
-        out = sp.kron(out, factor, format="csr")
-    return term.coeff * out
+        m = local.get(sub.name)
+        if m is None:
+            r = c = np.arange(sub.dim)
+            v = np.ones(sub.dim)
+        else:
+            r, c = np.nonzero(m)
+            v = m[r, c]
+        rows = (rows[:, None] * sub.dim + r).ravel()
+        cols = (cols[:, None] * sub.dim + c).ravel()
+        values = (values[:, None] * v).ravel()
+    return rows, cols, term.coeff * values
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,12 +215,14 @@ def build_hamiltonian(
     terms = coupling_terms(params, space)
     parts = {}
     for name in ("cavity", "fiber", "drive"):
-        acc = sp.csr_matrix((space.dim, space.dim))
-        for term in terms:
-            if term.part == name:
-                m = _materialize(term, space)
-                acc = acc + m + m.conj().T
-        parts[name] = acc
+        entries = [_materialize(term, space) for term in terms if term.part == name]
+        empty = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
+        rows, cols, values = (np.concatenate(arrays) for arrays in zip(empty, *entries))
+        # each term and its conjugate transpose; no two share an entry, so no value is a sum
+        parts[name] = sp.csr_matrix(
+            (np.concatenate([values, values.conj()]),
+             (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+            shape=(space.dim, space.dim))
     strong = parts["cavity"] + parts["fiber"]
     return HamiltonianParts(space, parts["cavity"], parts["fiber"], parts["drive"],
                             strong, strong + parts["drive"])

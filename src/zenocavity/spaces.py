@@ -368,6 +368,16 @@ def require_hermitian(mat: np.ndarray, tol: float = STRUCTURAL_TOL, what: str = 
 # ---------------------------------------------------------------------------
 
 def _resolve_keep(space: HilbertSpace, keep: Iterable) -> tuple[int, ...]:
+    """The factor positions ``keep`` names, in tensor order, resolved once per (space, keep)."""
+    keep = tuple(keep)
+    try:
+        return _keep_positions(space, keep)
+    except TypeError:  # an unhashable entry: resolve uncached, so any error is the uncached one
+        return _keep_positions.__wrapped__(space, keep)
+
+
+@functools.cache
+def _keep_positions(space: HilbertSpace, keep: tuple) -> tuple[int, ...]:
     out = []
     for k in keep:
         out.append(space.subsystem_index(k) if isinstance(k, str) else int(k))

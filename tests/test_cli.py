@@ -6,6 +6,9 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -516,3 +519,70 @@ def test_compare_default_grid_and_ratio_line(tmp_path, capsys):
     assert out == "zeno_ratio=0.01\n"
     _, rows = rows_of(path.read_text())
     assert len(rows) == 21
+
+
+# ---------------------------------------------------------------------------
+# scipy's BLAS pool in a fresh process
+# ---------------------------------------------------------------------------
+
+# OpenBLAS sizes its pool from the first of these that is set
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+_THREADS_ACROSS_MAIN = r"""
+import contextlib, io, os, sys
+from zenocavity.cli import main
+
+def threads():
+    return len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else 0
+
+before, started = dict(os.environ), threads()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["protocol", "--name", "bell"]) == 0
+assert dict(os.environ) == before, set(os.environ.items()) ^ set(before.items())
+print(threads() - started)
+"""
+
+_GOLDEN_OUTPUTS = r"""
+import test_golden as golden
+
+for part, test in (("protocol-cli", golden.test_protocol_cli_bytes),
+                   ("run-reuse", golden.test_run_reuse_bytes),
+                   ("sweep-grid", golden.test_sweep_grid_bytes)):
+    for key in sorted(golden.REFERENCE[part]):
+        test(key)
+"""
+
+
+def _fresh_process(code, **threads):
+    """Run ``code`` in a new interpreter with only the given thread variables set."""
+    here = Path(__file__).resolve().parent
+    env = {name: value for name, value in os.environ.items() if name not in THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**env, **threads}, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@pytest.mark.parametrize("threads", [{}, *({name: "2"} for name in THREAD_VARIABLES)],
+                         ids=["unset", *THREAD_VARIABLES])
+def test_main_loads_scipys_blas_single_threaded_unless_a_variable_is_set(threads):
+    # main must hand os.environ back as it found it, whether or not it pinned the load
+    gained = int(_fresh_process(_THREADS_ACROSS_MAIN, **threads))
+    if sys.platform != "linux" or (_cpus() or 1) < 2:
+        pytest.skip("thread counts need /proc/self/task and at least 2 CPUs")
+    if threads:  # the user's setting reaches scipy's OpenBLAS untouched
+        assert gained > 0
+    else:
+        assert gained == 0
+
+
+@pytest.mark.parametrize("threads", [{}, {"OPENBLAS_NUM_THREADS": "2"}],
+                         ids=["unset", "OPENBLAS_NUM_THREADS=2"])
+def test_golden_outputs_do_not_depend_on_blas_threads(threads):
+    _fresh_process(_GOLDEN_OUTPUTS, **threads)

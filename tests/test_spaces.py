@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -431,3 +432,38 @@ def test_index_maps_are_read_only_and_a_warm_run_builds_none(space1):
         assert index.dtype == np.intp and index.flags.c_contiguous
         with pytest.raises(ValueError, match="read-only"):
             index[0, 0] = 0
+
+
+def test_a_warm_run_resolves_no_keep_set():
+    specs = [zc.default_spec(p, branch=b)
+             for p, b in (("bell", "right"), ("threedim", "left"), ("ghz", "combined"),
+                          ("sixdim", "combined"))]
+    for spec in specs:
+        zc.run(spec)  # the first run of a structure key may resolve its keep sets
+    before = spaces._keep_positions.cache_info()
+    for spec in specs:
+        zc.run(replace(spec, params=replace(spec.params, g=1.1 * spec.params.g)))
+    after = spaces._keep_positions.cache_info()
+    assert after.misses == before.misses
+    assert after.hits - before.hits == 2 * len(specs)  # one partial trace, one negativity each
+
+
+@pytest.mark.parametrize("keep, error, message", [
+    (("a", "a"), InvalidSubsystemError, "duplicate entries in keep set ['a', 'a']"),
+    ([0, 9], InvalidSubsystemError, "subsystem index 9 out of range"),
+    (("Q",), InvalidSubsystemError, "no subsystem named 'Q'"),
+    ([[0]], TypeError, "int() argument must be"),
+])
+def test_bad_keep_sets_fail_every_time_and_are_never_cached(space1, keep, error, message):
+    psi = zc.initial_state(space1, zc.Branch.LEFT)
+    cached = spaces._keep_positions.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(error, match=re.escape(message)):
+            zc.partial_trace(psi, keep)
+    assert spaces._keep_positions.cache_info().currsize == cached
+
+
+def test_unhashable_keep_entries_resolve_uncached(space1):
+    psi = zc.initial_state(space1, zc.Branch.LEFT)
+    rho = zc.partial_trace(psi, [np.array(2), np.array(0)])
+    assert rho.mat.tobytes() == zc.partial_trace(psi, ("a", "c")).mat.tobytes()
