@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Branch, BranchModel, UniformParams
+from .model import _LAYOUT, Branch, BranchModel, UniformParams
 from .spaces import require_hermitian
 from .zeno import _eigh, sector_dark_columns
 
@@ -68,12 +68,9 @@ class DriveAngles:
 
     @classmethod
     def of(cls, params: UniformParams, branch: Branch) -> "DriveAngles":
-        if branch == Branch.LEFT:
-            om_a, om_b = params.omega1, params.omega2
-        elif branch == Branch.RIGHT:
-            om_a, om_b = params.omega1, params.omega3
-        else:
+        if branch not in _LAYOUT:
             raise ValueError("combined evolution is per-sector; pick a branch")
+        om_a, om_b = params.omega1, getattr(params, _LAYOUT[branch].drive)
         omega = math.hypot(om_a, om_b)
         if omega <= 0:
             raise ValueError("both drives are zero; the dark sector does not move")
@@ -144,15 +141,11 @@ def solve_timing(params: UniformParams, branch: Branch, condition: str = HALF_PI
         target = k * math.pi
     else:
         raise ValueError(f"unknown timing condition {condition!r}")
-    if branch == Branch.COMBINED:
-        if not math.isclose(params.omega2, params.omega3, rel_tol=1e-12, abs_tol=0.0):
-            raise ValueError(
-                "combined timing needs omega2 == omega3 (one pulse clock for"
-                f" both sectors), got {params.omega2} vs {params.omega3}"
-            )
-        ang = DriveAngles.of(params, Branch.LEFT)
-    else:
-        ang = DriveAngles.of(params, branch)
+    if branch == Branch.COMBINED and not math.isclose(params.omega2, params.omega3,
+                                                      rel_tol=1e-12, abs_tol=0.0):
+        raise ValueError("combined timing needs omega2 == omega3 (one pulse clock for"
+                         f" both sectors), got {params.omega2} vs {params.omega3}")
+    ang = DriveAngles.of(params, branch.sectors[0])
     tau = target / ang.phase_rate
     if not math.isfinite(tau):
         raise OverflowError(f"pulse time is not finite (phase rate {ang.phase_rate:.3g})")

@@ -22,6 +22,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,15 +42,19 @@ class ClosureOverflowError(ValueError):
     """A reachable-subspace search exceeded its basis-size cap."""
 
 
-class Branch(str, enum.Enum):
+class _Choice(str, enum.Enum):
+    """A string enum that renders as its bare value in CLI and JSON output."""
+
+    def __str__(self) -> str:
+        return self.value
+
+
+class Branch(_Choice):
     """Which polarization sector a computation lives in."""
 
     LEFT = "left"
     RIGHT = "right"
     COMBINED = "combined"
-
-    def __str__(self) -> str:  # cleaner CLI/JSON rendering
-        return self.value
 
     @property
     def sectors(self) -> tuple["Branch", ...]:
@@ -97,6 +102,27 @@ class UniformParams:
 _COUPLINGS = tuple(f.name for f in fields(UniformParams))
 
 
+class _Layout(NamedTuple):
+    """One polarization sector: the chain ``a`` - A - F - B - ``atom``, driven at both ends."""
+
+    pol: str    # suffix of the sector's levels and modes
+    atom: str   # the cavity-B atom
+    drive: str  # the coupling in _COUPLINGS that drives that atom
+
+    def mode(self, cavity: str) -> str:  # cavity "A" or "B", or the fiber "F"
+        return f"{cavity}_{self.pol}"
+
+    @property
+    def ends(self) -> tuple[tuple[str, str, str], ...]:  # (atom, its cavity's mode, its drive)
+        return ("a", self.mode("A"), "omega1"), (self.atom, self.mode("B"), self.drive)
+
+
+# the only record of which atom and drive belong to which polarization; each
+# cavity-B atom rests in its own sector's ground level
+_LAYOUT = {Branch.LEFT: _Layout("l", "b", "omega2"), Branch.RIGHT: _Layout("r", "c", "omega3")}
+_REST = {layout.atom: f"g_{layout.pol}" for layout in _LAYOUT.values()}
+
+
 # ---------------------------------------------------------------------------
 # operator assembly
 # ---------------------------------------------------------------------------
@@ -116,9 +142,10 @@ class CouplingTerm:
     factors: tuple[tuple[str, np.ndarray], ...]  # (subsystem name, local matrix)
 
 
-def _transition(sub: SubsystemSpec, upper: str, lower: str) -> np.ndarray:
+def _excite(sub: SubsystemSpec, lower: str, pol: str) -> np.ndarray:
+    """The atomic transition ``|e_pol><lower_pol|``."""
     m = np.zeros((sub.dim, sub.dim))
-    m[sub.level_index(upper), sub.level_index(lower)] = 1.0
+    m[sub.level_index(f"e_{pol}"), sub.level_index(f"{lower}_{pol}")] = 1.0
     return m
 
 
@@ -129,35 +156,22 @@ def _annihilation(dim: int) -> np.ndarray:
 def coupling_terms(params: UniformParams, space: HilbertSpace) -> list[CouplingTerm]:
     """Symbolic term list of the full Hamiltonian (hermitian halves only)."""
     subs = {s.name: s for s in space.subsystems}
-    ann = {name: _annihilation(subs[name].dim) for name in subs if subs[name].is_mode}
-
-    def up(atom: str, pol: str) -> np.ndarray:
-        return _transition(subs[atom], f"e_{pol}", f"g_{pol}")
-
-    def drv(atom: str, pol: str) -> np.ndarray:
-        return _transition(subs[atom], f"e_{pol}", f"f_{pol}")
-
     terms: list[CouplingTerm] = []
 
     def add(part, coeff, *factors):
         if coeff != 0.0:
             terms.append(CouplingTerm(part, float(coeff), tuple(factors)))
 
-    # atom-cavity: excited level drops while emitting into the matching mode
-    add("cavity", params.g, ("a", up("a", "l")), ("A_l", ann["A_l"]))
-    add("cavity", params.g, ("a", up("a", "r")), ("A_r", ann["A_r"]))
-    add("cavity", params.g, ("b", up("b", "l")), ("B_l", ann["B_l"]))
-    add("cavity", params.g, ("c", up("c", "r")), ("B_r", ann["B_r"]))
-    # cavity-fiber: the fiber mode absorbs from either cavity of its polarization
-    add("fiber", params.lam, ("F_l", ann["F_l"].conj().T), ("A_l", ann["A_l"]))
-    add("fiber", params.lam, ("F_l", ann["F_l"].conj().T), ("B_l", ann["B_l"]))
-    add("fiber", params.lam, ("F_r", ann["F_r"].conj().T), ("A_r", ann["A_r"]))
-    add("fiber", params.lam, ("F_r", ann["F_r"].conj().T), ("B_r", ann["B_r"]))
-    # classical drives on the f -> e transitions; omega1 drives both branches
-    add("drive", params.omega1, ("a", drv("a", "l")))
-    add("drive", params.omega1, ("a", drv("a", "r")))
-    add("drive", params.omega2, ("b", drv("b", "l")))
-    add("drive", params.omega3, ("c", drv("c", "r")))
+    for layout in _LAYOUT.values():
+        fiber = layout.mode("F")
+        create = _annihilation(subs[fiber].dim).conj().T
+        for atom, cavity, drive in layout.ends:
+            ann = _annihilation(subs[cavity].dim)
+            # the excited atom emits into its cavity's mode, the fiber mode absorbs from
+            # the cavity, and a classical drive acts on the atom's f -> e transition
+            add("cavity", params.g, (atom, _excite(subs[atom], "g", layout.pol)), (cavity, ann))
+            add("fiber", params.lam, (fiber, create), (cavity, ann))
+            add("drive", getattr(params, drive), (atom, _excite(subs[atom], "f", layout.pol)))
     return terms
 
 
@@ -292,12 +306,6 @@ def restrict(h, subspace: RestrictedSpace) -> np.ndarray:
 # single-excitation sectors
 # ---------------------------------------------------------------------------
 
-# per polarization sector: the level suffix and the cavity-B atom of that
-# polarization; each cavity-B atom rests in its own sector's ground level
-_LAYOUT = {Branch.LEFT: ("l", "b"), Branch.RIGHT: ("r", "c")}
-_REST = {atom: f"g_{pol}" for pol, atom in _LAYOUT.values()}
-
-
 def sector_kets(space: HilbertSpace, branch: Branch) -> list[State]:
     """The seven chain states of one polarization sector, in chain order.
 
@@ -307,14 +315,15 @@ def sector_kets(space: HilbertSpace, branch: Branch) -> list[State]:
     """
     if branch not in _LAYOUT:
         raise ValueError("sector_kets is defined per polarization branch")
-    pol, atom = _LAYOUT[branch]
+    layout = _LAYOUT[branch]
+    pol = layout.pol
     ground = {**_REST, "a": f"g_{pol}"}
     return [
         space.ket(**_REST, a=f"f_{pol}"),
         space.ket(**_REST, a=f"e_{pol}"),
-        *(space.ket(**ground, **{f"{mode}_{pol}": 1}) for mode in "AFB"),
-        space.ket(**{**ground, atom: f"e_{pol}"}),
-        space.ket(**{**ground, atom: f"f_{pol}"}),
+        *(space.ket(**ground, **{layout.mode(cavity): 1}) for cavity in "AFB"),
+        space.ket(**{**ground, layout.atom: f"e_{pol}"}),
+        space.ket(**{**ground, layout.atom: f"f_{pol}"}),
     ]
 
 
@@ -338,7 +347,7 @@ class _Sector:
 
     restricted: RestrictedSpace
     units: tuple[np.ndarray, ...]  # restricted block per coupling in _COUPLINGS, read-only
-    seed: np.ndarray  # initial state on the parent space, read-only
+    seed: np.ndarray  # initial state in restricted coordinates, read-only
     positions: dict[Branch, tuple[int, ...]]  # restricted index of each chain state, per sector
 
 
@@ -351,9 +360,10 @@ def _sector(branch: Branch, space: HilbertSpace) -> _Sector:
     would otherwise drop its link below the closure tolerance).
     """
     units = _unit_operators(space)
-    seed = initial_state(space, branch).vec
-    restricted = reachable_subspace(sum(units[1:], start=units[0]), State(space, seed))
+    full = initial_state(space, branch)
+    restricted = reachable_subspace(sum(units[1:], start=units[0]), full)
     blocks = tuple(restrict(u, restricted).real for u in units)
+    seed = restricted.project(full.vec)
     for array in (seed, *blocks):
         array.setflags(write=False)
     positions = {
@@ -381,8 +391,7 @@ class BranchModel:
 
     def seed(self) -> State:
         """The protocol initial state in restricted coordinates."""
-        full = _sector(self.branch, self.space).seed
-        return State(self.restricted, self.restricted.project(full))
+        return State(self.restricted, _sector(self.branch, self.space).seed.copy())
 
     def local_index(self, ket: State) -> int:
         idx = int(np.argmax(np.abs(ket.vec)))

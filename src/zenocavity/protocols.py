@@ -14,16 +14,17 @@ gate, ``trace`` discards it. The Hadamard itself also ships in two readings:
   implements, realized as the Kraus pair |0><0| - |1><1|/sqrt2 and |0><1|/sqrt2.
 
 Regime violations (drives too strong for the Zeno limit, unequal couplings
-where a protocol assumes equal ones, even-k pulses that undo themselves) are
-attached to results as flags rather than raised: measuring the breakdown is
-part of what the protocols are for.
+where a protocol assumes equal ones, a second drive on a sector's cavity-B atom
+where a protocol assumes atom ``a`` is driven alone, even-k pulses that undo
+themselves) are attached to results as flags rather than raised: measuring the
+breakdown is part of what the protocols are for.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
@@ -37,7 +38,7 @@ from .dynamics import (
     solve_timing,
     zeno_ratio,
 )
-from .model import (_COUPLINGS, _LAYOUT, _REST, Branch, BranchModel, UniformParams,
+from .model import (_COUPLINGS, _LAYOUT, _REST, _Choice, Branch, BranchModel, UniformParams,
                     build_branch_model)
 from .spaces import (
     HADAMARD,
@@ -55,7 +56,7 @@ from .zeno import _dark_columns
 ZERO_PROBABILITY_TOL = 1e-12
 
 
-class Protocol(str, enum.Enum):
+class Protocol(_Choice):
     STATE_TRANSFER = "state_transfer"
     THREE_DIM = "threedim"
     BELL = "bell"
@@ -63,32 +64,20 @@ class Protocol(str, enum.Enum):
     GHZ = "ghz"
     SIX_DIM = "sixdim"
 
-    def __str__(self) -> str:
-        return self.value
 
-
-class Engine(str, enum.Enum):
+class Engine(_Choice):
     EFFECTIVE = "effective"   # dark-block generator
     FULL = "full"             # restricted sector Hamiltonian
 
-    def __str__(self) -> str:
-        return self.value
 
-
-class Interpretation(str, enum.Enum):
+class Interpretation(_Choice):
     POSTSELECT = "postselect"
     TRACE = "trace"
 
-    def __str__(self) -> str:
-        return self.value
 
-
-class GateConvention(str, enum.Enum):
+class GateConvention(_Choice):
     UNITARY = "unitary"
     BEAMSPLITTER = "beamsplitter"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 def _constant(rows) -> np.ndarray:
@@ -106,6 +95,14 @@ _BS_LEAK = _constant([[0.0, 1.0 / math.sqrt(2.0)], [0.0, 0.0]])
 _KRAUS = {GateConvention.UNITARY: (_constant(HADAMARD),),
           GateConvention.BEAMSPLITTER: (_BS_KEEP, _BS_LEAK)}
 _OUTCOME_PROJECTORS = (_constant([[1.0, 0.0], [0.0, 0.0]]), _constant([[0.0, 0.0], [0.0, 1.0]]))
+
+
+def _integer(value) -> int | None:
+    """``value`` as a plain int, numpy integers included; None for a bool or a non-integer."""
+    try:
+        return None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return None
 
 
 def hadamard_and_reduce(
@@ -129,10 +126,13 @@ def hadamard_and_reduce(
     modes = list(modes)
     if not modes:
         raise ValueError("at least one mode to act on")
-    outcomes = [outcome] * len(modes) if isinstance(outcome, int) else list(outcome)
+    try:
+        outcomes = list(outcome)
+    except TypeError:  # one scalar outcome for every mode
+        outcomes = [outcome] * len(modes)
     if len(outcomes) != len(modes):
         raise ValueError("one outcome per mode")
-    if any(o not in (0, 1) for o in outcomes):
+    if any(_integer(o) not in (0, 1) for o in outcomes):
         raise ValueError(f"outcomes must be 0 or 1, got {outcomes}")
 
     # each branch is one coherent history, one Kraus operator per mode;
@@ -180,6 +180,8 @@ _PROTOCOLS = {
     Protocol.GHZ: _Definition(PI, replace(_UNIT, omega2=0.01, omega3=0.01), _COMBINED),
     Protocol.SIX_DIM: _Definition(HALF_PI, _UNIT, _COMBINED),
 }
+# the protocols that drive atom a alone: each sector's cavity-B drive must be zero
+_ONE_DRIVE = (Protocol.STATE_TRANSFER, Protocol.THREE_DIM, Protocol.BELL, Protocol.SIX_DIM)
 
 
 @dataclass(frozen=True)
@@ -205,10 +207,13 @@ class ProtocolSpec:
             except ValueError:
                 choices = ", ".join(repr(member.value) for member in kind)
                 raise ValueError(f"{key} must be one of {choices}, got {value!r}") from None
-        if self.outcome not in (0, 1):
+        outcome, k = _integer(self.outcome), _integer(self.k)
+        if outcome not in (0, 1):
             raise ValueError(f"outcome must be 0 or 1, got {self.outcome!r}")
-        if self.k < 1 or int(self.k) != self.k:  # solve_timing's check, named at resolve
+        if k is None or k < 1:  # solve_timing's check, named at resolve
             raise ValueError(f"k must be a positive integer, got {self.k}")
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "k", k)
         branches = _PROTOCOLS[self.protocol].branches
         if self.branch not in branches:
             need = ("requires the combined branch" if branches == _COMBINED
@@ -256,7 +261,7 @@ def default_spec(protocol: Protocol | str, **overrides) -> ProtocolSpec:
 
 def _atoms(branch: Branch) -> tuple[str, ...]:
     """The atoms a branch's protocols end on: ``a`` plus each sector's cavity-B atom."""
-    return ("a", *(_LAYOUT[sector][1] for sector in branch.sectors))
+    return ("a", *(_LAYOUT[sector].atom for sector in branch.sectors))
 
 
 def target_state(spec: ProtocolSpec, model: BranchModel) -> State:
@@ -280,11 +285,11 @@ def _atom_target(protocol: Protocol, branch: Branch, space: HilbertSpace) -> Sta
     rest = {atom: level for atom, level in _REST.items() if atom in atoms}
     terms = []
     for sector in branch.sectors:
-        pol, atom = _LAYOUT[sector]
-        e, g = f"e_{pol}", f"g_{pol}"
+        layout = _LAYOUT[sector]
+        e, g = f"e_{layout.pol}", f"g_{layout.pol}"
         for sign, (level_a, level_b) in zip(signs, ((e, g), (g, g), (g, e))):
             if sign:
-                terms.append(sign * atom_space.ket(**{**rest, "a": level_a, atom: level_b}))
+                terms.append(sign * atom_space.ket(**{**rest, "a": level_a, layout.atom: level_b}))
     target = sum(terms[1:], start=terms[0]) * (1 / math.sqrt(len(terms)))
     target.vec.setflags(write=False)
     return target
@@ -302,10 +307,13 @@ def _regime_flags(spec: ProtocolSpec) -> list[str]:
         p.g, p.lam, rel_tol=1e-12
     ):
         flags.append("equal couplings g = lam assumed by this protocol")
-    if spec.protocol == Protocol.SWAP:
-        second = p.omega2 if spec.branch == Branch.LEFT else p.omega3
-        if not math.isclose(p.omega1, second, rel_tol=1e-12):
-            flags.append("swap assumes equal drives on both atoms")
+    drives = [_LAYOUT[sector].drive for sector in spec.branch.sectors]
+    if spec.protocol == Protocol.SWAP and not math.isclose(
+        p.omega1, getattr(p, drives[0]), rel_tol=1e-12
+    ):
+        flags.append("swap assumes equal drives on both atoms")
+    if spec.protocol in _ONE_DRIVE and any(getattr(p, drive) != 0 for drive in drives):
+        flags.append(f"{spec.protocol} assumes {' = '.join(drives)} = 0")
     if spec.protocol == Protocol.GHZ and not (
         math.isclose(p.omega1, p.omega2, rel_tol=1e-12)
         and math.isclose(p.omega2, p.omega3, rel_tol=1e-12)
@@ -337,7 +345,7 @@ def run(spec: ProtocolSpec, model: BranchModel | None = None) -> ProtocolResult:
     final: State | DensityOp = psi
     prob = neg = None
     if spec.protocol in (Protocol.THREE_DIM, Protocol.SIX_DIM):
-        modes = [f"F_{_LAYOUT[sector][0]}" for sector in spec.branch.sectors]
+        modes = [_LAYOUT[sector].mode("F") for sector in spec.branch.sectors]
         final, prob = hadamard_and_reduce(psi, modes, atoms, spec.interpretation,
                                           spec.outcome, spec.convention)
     elif spec.protocol == Protocol.BELL:

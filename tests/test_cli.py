@@ -296,6 +296,21 @@ def test_protocol_json_shape(capsys):
     assert out2 == out
 
 
+# a nonzero cavity-B drive takes a one-drive protocol off its target, so the run is flagged
+@pytest.mark.parametrize("argv, flag", [
+    ("protocol --name bell --engine full --omega2 0.01", "bell assumes omega2 = 0"),
+    ("protocol --name state_transfer --omega2 0.01", "state_transfer assumes omega2 = 0"),
+    ("protocol --name threedim --omega2 0.01", "threedim assumes omega2 = 0"),
+    ("protocol --name sixdim --omega2 0.01 --omega3 0.01", "sixdim assumes omega2 = omega3 = 0"),
+    ("protocol --name state_transfer --branch combined --omega2 0.01 --omega3 0.01",
+     "state_transfer assumes omega2 = omega3 = 0"),
+])
+def test_a_second_drive_on_a_one_drive_protocol_is_flagged(capsys, argv, flag):
+    code, out, err = invoke(argv.split(), capsys)
+    assert code == 0 and err == ""
+    assert flag in json.loads(out)["flags"]
+
+
 def test_protocol_out_file_matches_stdout(tmp_path, capsys):
     args = ["protocol", "--name", "bell", "--engine", "effective"]
     _, stdout_text, _ = invoke(args, capsys)

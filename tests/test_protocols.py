@@ -325,6 +325,37 @@ def test_spec_k_must_be_a_positive_integer(k):
         default_spec("swap", k=k)
 
 
+@pytest.mark.parametrize("key, value, needle", [
+    ("outcome", 1.0, "outcome must be 0 or 1, got 1.0"),
+    ("outcome", True, "outcome must be 0 or 1, got True"),
+    ("k", True, "k must be a positive integer, got True"),
+    ("k", 3.0, "k must be a positive integer, got 3.0"),
+])
+def test_spec_integer_fields_reject_bools_and_floats(key, value, needle):
+    with pytest.raises(ValueError, match=needle):
+        default_spec("threedim" if key == "outcome" else "swap", **{key: value})
+
+
+def test_spec_integer_fields_store_numpy_integers_as_ints():
+    spec = default_spec("threedim", outcome=np.int64(1), k=np.int32(3))
+    assert type(spec.k) is int and type(spec.outcome) is int
+    assert (spec.k, spec.outcome) == (3, 1)
+    assert json.loads(json.dumps(run(spec).to_dict()))["k"] == 3
+
+
+@pytest.mark.parametrize("outcome", [1.0, 0.5, True, (1.0,), ([1],)])
+def test_hadamard_outcomes_must_be_integers(space1, outcome):
+    psi = space1.ket(a="g_l", b="g_l", c="g_r")
+    with pytest.raises(ValueError, match="outcomes must be 0 or 1"):
+        hadamard_and_reduce(psi, ["F_l"], ("a",), outcome=outcome)
+
+
+def test_hadamard_takes_numpy_integer_outcomes(space1):
+    psi = space1.ket(a="g_l", b="g_l", c="g_r")
+    rho, p = hadamard_and_reduce(psi, ["F_l"], ("a",), outcome=np.int64(0))
+    assert abs(p - 0.5) < 1e-12
+
+
 @pytest.mark.parametrize("key,value,choices", [
     ("branch", "up", "'left', 'right', 'combined'"),
     ("engine", "fast", "'effective', 'full'"),
@@ -415,6 +446,35 @@ def test_regime_flags():
 
     clean = run(default_spec("state_transfer", engine=Engine.EFFECTIVE))
     assert clean.flags == ()
+
+
+# the protocols that assume each sector's cavity-B drive is zero
+ONE_DRIVE = (Protocol.STATE_TRANSFER, Protocol.THREE_DIM, Protocol.BELL, Protocol.SIX_DIM)
+SECOND_DRIVE = {zc.Branch.LEFT: "omega2", zc.Branch.RIGHT: "omega3"}
+
+
+@settings(max_examples=60)
+@given(protocol=st.sampled_from(ONE_DRIVE), branch_index=st.integers(0, 1),
+       engine=st.sampled_from(Engine), g=st.floats(0.3, 3.0), lam=st.floats(0.3, 3.0),
+       log_r=st.floats(math.log(1e-4), math.log(0.05)),
+       seconds=st.tuples(*[st.one_of(st.just(0.0), st.floats(math.log(1e-4), math.log(0.05)))
+                           for _ in range(2)]))
+def test_a_second_drive_is_flagged_exactly_when_it_is_nonzero(protocol, branch_index, engine,
+                                                              g, lam, log_r, seconds):
+    branches = _PROTOCOLS[protocol].branches
+    branch = branches[branch_index % len(branches)]
+    strong = min(g, lam)
+    drives = [0.0 if s == 0.0 else math.exp(s) * strong for s in seconds]
+    if branch is zc.Branch.COMBINED:
+        drives[1] = drives[0]  # one pulse clock for both sectors
+    params = zc.UniformParams(g=g, lam=lam, omega1=math.exp(log_r) * strong,
+                              omega2=drives[0], omega3=drives[1])
+    flags = run(default_spec(protocol, branch=branch, engine=engine, params=params)).flags
+    names = [SECOND_DRIVE[sector] for sector in branch.sectors]
+    flag = f"{protocol} assumes {' = '.join(names)} = 0"
+    # a drive outside the run's sectors does not enter its model
+    assert (flag in flags) == any(getattr(params, name) != 0 for name in names)
+    assert not any("assumes" in f and f != flag for f in flags)
 
 
 def test_default_params_table():
