@@ -30,10 +30,14 @@ class Propagator:
         self.evals, self.evecs = _eigh(h)
         self._radius = float(np.max(np.abs(self.evals)))
 
+    def _phase_error(self, t: float) -> float:
+        """eps * max|E| * |t|: the absolute error of the largest phase E * t."""
+        return _EPS * self._radius * abs(t)
+
     def _phases(self, t: float) -> np.ndarray:
-        # E * t carries an absolute error of about eps * |E t|; past 1e-2 the
-        # phases are noise (and NaN once E * t leaves the float range): fail
-        error = _EPS * self._radius * abs(t)
+        # past a phase error of 1e-2 the phases are noise (and NaN once E * t
+        # leaves the float range): fail
+        error = self._phase_error(t)
         if not error <= 1e-2:
             raise FloatingPointError(
                 f"phase error eps*max|E|*|t| = {error:.3g} exceeds 1e-2 at t = {t:.3g}")

@@ -34,7 +34,6 @@ from .spaces import (
     SpaceMismatchError,
     State,
     SubsystemSpec,
-    standard_subsystems,
 )
 
 
@@ -109,6 +108,9 @@ class _Layout(NamedTuple):
     atom: str   # the cavity-B atom
     drive: str  # the coupling in _COUPLINGS that drives that atom
 
+    def level(self, name: str) -> str:  # level "f", "e" or "g" of this sector
+        return f"{name}_{self.pol}"
+
     def mode(self, cavity: str) -> str:  # cavity "A" or "B", or the fiber "F"
         return f"{cavity}_{self.pol}"
 
@@ -117,10 +119,10 @@ class _Layout(NamedTuple):
         return ("a", self.mode("A"), "omega1"), (self.atom, self.mode("B"), self.drive)
 
 
-# the only record of which atom and drive belong to which polarization; each
-# cavity-B atom rests in its own sector's ground level
+# the only record of which atom, levels, modes and drive belong to which
+# polarization; each cavity-B atom rests in its own sector's ground level
 _LAYOUT = {Branch.LEFT: _Layout("l", "b", "omega2"), Branch.RIGHT: _Layout("r", "c", "omega3")}
-_REST = {layout.atom: f"g_{layout.pol}" for layout in _LAYOUT.values()}
+_REST = {layout.atom: layout.level("g") for layout in _LAYOUT.values()}
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +131,18 @@ _REST = {layout.atom: f"g_{layout.pol}" for layout in _LAYOUT.values()}
 
 @functools.cache
 def full_space(cutoff: int = 1) -> HilbertSpace:
-    """The standard nine-factor space at the given photon cutoff, built once each."""
-    return HilbertSpace(standard_subsystems(cutoff))
+    """The nine-factor register at the given photon cutoff, built once each.
+
+    Atom ``a`` has the ``f, e, g`` levels of each sector in turn, each cavity-B atom
+    those of its own sector; then come the modes of cavity A, cavity B and the fiber.
+    """
+    levels = {layout: tuple(map(layout.level, "feg")) for layout in _LAYOUT.values()}
+    return HilbertSpace([
+        SubsystemSpec("a", levels=sum(levels.values(), ())),
+        *(SubsystemSpec(layout.atom, levels=own) for layout, own in levels.items()),
+        *(SubsystemSpec(layout.mode(cavity), cutoff=cutoff) for cavity in "ABF"
+          for layout in levels),
+    ])
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,10 +154,10 @@ class CouplingTerm:
     factors: tuple[tuple[str, np.ndarray], ...]  # (subsystem name, local matrix)
 
 
-def _excite(sub: SubsystemSpec, lower: str, pol: str) -> np.ndarray:
-    """The atomic transition ``|e_pol><lower_pol|``."""
+def _excite(sub: SubsystemSpec, layout: _Layout, lower: str) -> np.ndarray:
+    """The atomic transition ``|e><lower|`` within one sector's levels."""
     m = np.zeros((sub.dim, sub.dim))
-    m[sub.level_index(f"e_{pol}"), sub.level_index(f"{lower}_{pol}")] = 1.0
+    m[sub.level_index(layout.level("e")), sub.level_index(layout.level(lower))] = 1.0
     return m
 
 
@@ -169,9 +181,9 @@ def coupling_terms(params: UniformParams, space: HilbertSpace) -> list[CouplingT
             ann = _annihilation(subs[cavity].dim)
             # the excited atom emits into its cavity's mode, the fiber mode absorbs from
             # the cavity, and a classical drive acts on the atom's f -> e transition
-            add("cavity", params.g, (atom, _excite(subs[atom], "g", layout.pol)), (cavity, ann))
+            add("cavity", params.g, (atom, _excite(subs[atom], layout, "g")), (cavity, ann))
             add("fiber", params.lam, (fiber, create), (cavity, ann))
-            add("drive", getattr(params, drive), (atom, _excite(subs[atom], "f", layout.pol)))
+            add("drive", getattr(params, drive), (atom, _excite(subs[atom], layout, "f")))
     return terms
 
 
@@ -316,14 +328,14 @@ def sector_kets(space: HilbertSpace, branch: Branch) -> list[State]:
     if branch not in _LAYOUT:
         raise ValueError("sector_kets is defined per polarization branch")
     layout = _LAYOUT[branch]
-    pol = layout.pol
-    ground = {**_REST, "a": f"g_{pol}"}
+    f, e, g = map(layout.level, "feg")
+    ground = {**_REST, "a": g}
     return [
-        space.ket(**_REST, a=f"f_{pol}"),
-        space.ket(**_REST, a=f"e_{pol}"),
+        space.ket(**_REST, a=f),
+        space.ket(**_REST, a=e),
         *(space.ket(**ground, **{layout.mode(cavity): 1}) for cavity in "AFB"),
-        space.ket(**{**ground, layout.atom: f"e_{pol}"}),
-        space.ket(**{**ground, layout.atom: f"f_{pol}"}),
+        space.ket(**{**ground, layout.atom: e}),
+        space.ket(**{**ground, layout.atom: f}),
     ]
 
 

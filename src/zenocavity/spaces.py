@@ -1,12 +1,11 @@
-"""Tensor-product state spaces for the fiber-coupled two-cavity system.
+"""Tensor-product state spaces.
 
-The physical register is an ordered tensor product of nine factors: a six-level
-atom held in cavity A, two three-level atoms held in cavity B, the two
-polarization modes of each cavity, and the two polarization modes of the
-connecting fiber. Basis states are enumerated lexicographically over the
-occupation tuple (atom levels first, then mode photon numbers), so the index
-map is deterministic and matches the Kronecker-product convention used by the
-operator builders in :mod:`zenocavity.model`.
+A space is an ordered tensor product of named factors, each a multilevel atom
+or a truncated boson mode. Basis states are enumerated lexicographically over
+the occupation tuple (one entry per factor, the first factor most
+significant), so the index map is deterministic and matches the
+Kronecker-product convention of the operator builders in
+:mod:`zenocavity.model`, which also defines the register of the system.
 
 Vectors and density matrices carry a reference to their space; the module-level
 functions (inner products, partial traces, fidelities, negativity, single-mode
@@ -88,35 +87,6 @@ class SubsystemSpec:
             ) from None
 
 
-def atom_a() -> SubsystemSpec:
-    """Six-level atom in cavity A; drives both polarization branches."""
-    return SubsystemSpec("a", levels=("f_l", "e_l", "g_l", "f_r", "e_r", "g_r"))
-
-
-def atom_b() -> SubsystemSpec:
-    """Three-level atom in cavity B coupled to the left-polarized mode."""
-    return SubsystemSpec("b", levels=("f_l", "e_l", "g_l"))
-
-
-def atom_c() -> SubsystemSpec:
-    """Three-level atom in cavity B coupled to the right-polarized mode."""
-    return SubsystemSpec("c", levels=("f_r", "e_r", "g_r"))
-
-
-def boson_mode(name: str, cutoff: int = 1) -> SubsystemSpec:
-    return SubsystemSpec(name, cutoff=cutoff)
-
-
-MODE_NAMES = ("A_l", "A_r", "B_l", "B_r", "F_l", "F_r")
-
-
-def standard_subsystems(cutoff: int = 1) -> tuple[SubsystemSpec, ...]:
-    """The canonical nine factors: atoms a, b, c then the six boson modes."""
-    return (atom_a(), atom_b(), atom_c()) + tuple(
-        boson_mode(m, cutoff) for m in MODE_NAMES
-    )
-
-
 class HilbertSpace:
     """Ordered tensor product of subsystems with a lexicographic basis.
 
@@ -189,8 +159,8 @@ class HilbertSpace:
     def ket(self, **assignments) -> "State":
         """Basis ket by subsystem name; unassigned modes default to vacuum.
 
-        Atom levels are given by label (``a="f_l"``), modes by photon number
-        (``F_l=1``). Every atom must be assigned.
+        Atom levels are given by label (``q="up"``), modes by photon number
+        (``m=1``). Every atom must be assigned.
         """
         occ = []
         seen = set()
@@ -211,7 +181,7 @@ class HilbertSpace:
         return State(self, vec)
 
     def label(self, index: int) -> str:
-        """Human-readable basis label, e.g. ``|f_l g_l g_r; 000000>``."""
+        """Human-readable basis label: atom levels, then photon numbers, e.g. ``|up down; 01>``."""
         occ = self.occupation(index)
         atoms, modes = [], []
         for sub, n in zip(self.subsystems, occ):
@@ -409,13 +379,6 @@ def _index_map(shape: tuple[int, ...], axes: tuple[int, ...], rows: int) -> np.n
 
 
 @functools.cache
-def _mode_front(space: HilbertSpace, axis: int) -> np.ndarray:
-    """The (2, dim / 2) operand of a gate on cutoff-1 mode ``axis``: that axis in front."""
-    n = len(space.dims)
-    return _index_map(space.dims, (axis, *range(axis), *range(axis + 1, n)), 2)
-
-
-@functools.cache
 def _kept_block(space: HilbertSpace, kept: tuple[int, ...]) -> np.ndarray:
     """The (dk, rest) block of a ket whose ``kept`` factors index the rows."""
     rest = tuple(i for i in range(len(space.dims)) if i not in kept)
@@ -540,9 +503,9 @@ def apply_on_mode(state: State, mode: str, mat: np.ndarray) -> State:
         raise InvalidSubsystemError(
             f"{mode!r} is not a cutoff-1 boson mode; mode gates are only defined there"
         )
-    # the one np.dot that np.tensordot(mat, tensor, axes=([1], [axis])) makes,
-    # on the same (2, dim / 2) operand; the result goes back through the same map
-    front = _mode_front(space, axis)
+    # the one np.dot that np.tensordot(mat, tensor, axes=([1], [axis])) makes, on the
+    # same (2, dim / 2) operand, the mode's axis in front; the result goes back the same way
+    front = _kept_block(space, (axis,))
     out = np.empty(space.dim, dtype=complex)
     out[front] = np.dot(mat, state.vec.take(front))
     return State(space, out)

@@ -311,6 +311,20 @@ def test_a_second_drive_on_a_one_drive_protocol_is_flagged(capsys, argv, flag):
     assert flag in json.loads(out)["flags"]
 
 
+# far below the default drive, the propagator's phase error outgrows the Zeno ratio's own
+@pytest.mark.parametrize("argv, flags", [
+    ("protocol --name bell", []),
+    ("protocol --name bell --engine full --omega1 1e-13",
+     ["phase error eps*max|E|*|t| = 0.00701 above 1e-6; the last digits drift"]),
+    ("protocol --name bell --engine full --omega1 1e-11",
+     ["phase error eps*max|E|*|t| = 7.01e-05 above 1e-6; the last digits drift"]),
+])
+def test_a_phase_error_above_1e_6_is_flagged(capsys, argv, flags):
+    code, out, err = invoke(argv.split(), capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["flags"] == flags
+
+
 def test_protocol_out_file_matches_stdout(tmp_path, capsys):
     args = ["protocol", "--name", "bell", "--engine", "effective"]
     _, stdout_text, _ = invoke(args, capsys)

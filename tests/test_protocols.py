@@ -477,6 +477,34 @@ def test_a_second_drive_is_flagged_exactly_when_it_is_nonzero(protocol, branch_i
     assert not any("assumes" in f and f != flag for f in flags)
 
 
+# The propagator's phases E * t carry an absolute error of about eps * max|E| * |t|,
+# and a fidelity drifts from its exact value by about the square of that error: on
+# bell at g = 0.1, lam = 1, a phase error of 7.0e-3 (omega1 = 1e-13) drifts 4.9e-5
+# from the closed form, one of 7.0e-7 (omega1 = 1e-9) 3.8e-13. Above a phase error
+# of 1e-6 the run is flagged; above 1e-2 it fails. Stated for bell on the full
+# engine inside its regime: lam in [0.5, 2], g/lam in [0.02, 0.2], and r =
+# omega1 / g log-uniform in [1e-13, 1e-2]. The lower end is past the failure edge
+# for every g/lam drawn (r = 3.6e-13 at g/lam = 0.2, 3.5e-12 at 0.02).
+PHASE_FLAG = "phase error eps*max|E|*|t| = "
+
+
+@settings(max_examples=60)
+@given(lam=st.floats(0.5, 2.0), g_over_lam=st.floats(0.02, 0.2),
+       log_r=st.floats(math.log(1e-13), math.log(1e-2)))
+def test_bell_meets_its_closed_form_or_flags_its_phase_error(lam, g_over_lam, log_r):
+    g = g_over_lam * lam
+    r = math.exp(log_r)
+    spec = default_spec("bell", params=zc.UniformParams(g=g, lam=lam, omega1=r * g))
+    assert spec.engine is Engine.FULL
+    try:
+        res = run(spec)
+    except FloatingPointError:  # a phase error above 1e-2: the CLI exits 1
+        return
+    closed = 2 * lam**2 / (g**2 + 2 * lam**2)
+    assert (abs(res.fidelity - closed) <= ENGINE_GAP_C1 * r + 2e-12
+            or any(flag.startswith(PHASE_FLAG) for flag in res.flags))
+
+
 def test_default_params_table():
     assert default_spec("bell").params == zc.UniformParams(g=0.1, lam=1.0, omega1=0.001)
     assert default_spec("swap").params.omega2 == 0.01

@@ -15,18 +15,30 @@ import zenocavity as zc
 from zenocavity import spaces
 from zenocavity.protocols import _KRAUS, _OUTCOME_PROJECTORS
 from zenocavity.spaces import (
-    MODE_NAMES,
     NEGATIVITY_DIM_CAP,
     InvalidSubsystemError,
     SpaceMismatchError,
+    SubsystemSpec,
     apply_on_mode,
-    atom_a,
-    atom_b,
-    boson_mode,
     density,
 )
 
 ATOL = 1e-12
+
+# the register's factors, spelled out here so that no test reads them from the code under test
+MODE_NAMES = ("A_l", "A_r", "B_l", "B_r", "F_l", "F_r")
+
+
+def atom_a():
+    return SubsystemSpec("a", levels=("f_l", "e_l", "g_l", "f_r", "e_r", "g_r"))
+
+
+def atom_b():
+    return SubsystemSpec("b", levels=("f_l", "e_l", "g_l"))
+
+
+def boson_mode(name, cutoff=1):
+    return SubsystemSpec(name, cutoff=cutoff)
 
 
 def _random_state(space, seed):
@@ -60,6 +72,13 @@ def test_standard_space_shape(space1):
     assert space1.dims == (6, 3, 3, 2, 2, 2, 2, 2, 2)
     assert space1.dim == 3456
     assert [s.name for s in space1.subsystems] == ["a", "b", "c", *MODE_NAMES]
+
+
+@pytest.mark.parametrize("cutoff", [1, 2])
+def test_the_register_is_the_nine_factors_of_the_paper(cutoff):
+    atom_c = SubsystemSpec("c", levels=("f_r", "e_r", "g_r"))
+    assert zc.full_space(cutoff).subsystems == (
+        atom_a(), atom_b(), atom_c, *(boson_mode(name, cutoff) for name in MODE_NAMES))
 
 
 def test_index_occupation_roundtrip(space1):
@@ -419,14 +438,14 @@ def test_index_maps_are_read_only_and_a_warm_run_builds_none(space1):
              for p, b in (("bell", "right"), ("threedim", "left"), ("threedim", "right"),
                           ("ghz", "combined"), ("sixdim", "combined"))
              for c in zc.GateConvention for i in zc.Interpretation]
-    maps = (spaces._mode_front, spaces._kept_block, spaces._partial_transpose)
+    maps = (spaces._kept_block, spaces._partial_transpose)
     for spec in specs:
         zc.run(spec)  # the first run of a structure key may build its map
     built = [cached.cache_info().misses for cached in maps]
     for spec in specs:
         zc.run(replace(spec, params=replace(spec.params, g=1.1 * spec.params.g)))
     assert [cached.cache_info().misses for cached in maps] == built
-    for index in (spaces._mode_front(space1, space1.subsystem_index("F_r")),
+    for index in (spaces._kept_block(space1, (space1.subsystem_index("F_r"),)),
                   spaces._kept_block(space1, (0, 2)),
                   spaces._partial_transpose(zc.HilbertSpace(list(space1.subsystems[:3])), (0,))):
         assert index.dtype == np.intp and index.flags.c_contiguous
