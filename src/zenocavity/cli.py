@@ -36,6 +36,7 @@ import numpy as np
 
 from .dynamics import (
     HALF_PI,
+    _phase_flags,
     compare_full_vs_effective,
     solve_timing,
     zeno_ratio,
@@ -130,6 +131,13 @@ def _emit(out_path, text: str) -> None:
         sys.stdout.write(text)
     else:
         _atomic_write(out_path, text)
+
+
+def _report_flags(cells, flags) -> None:
+    """One stderr line for a flagged table row: its (name, cell) pairs, then its flags."""
+    if flags:
+        row = ", ".join(f"{name}={cell}" for name, cell in cells)
+        print(f"flag: {row}: {' | '.join(flags)}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +323,7 @@ def _cmd_protocol(args, spec) -> int:
 
 
 def _sweep_eval(spec, names, values):
-    """One CSV row: axis values, the spec engine's scores, gap to the other engine."""
+    """One CSV row (axis values, scores, gap to the other engine) and both engines' flags."""
     params = spec.params
     for name, value in sorted(zip(names, values), key=lambda nv: _AXIS_NAMES.index(nv[0])):
         params = _apply_axis(params, name, value)
@@ -327,7 +335,7 @@ def _sweep_eval(spec, names, values):
     gap = abs(primary.fidelity - secondary.fidelity)
     numbers = (*values, primary.fidelity, primary.negativity,
                primary.success_probability, primary.tau, gap)
-    return tuple(_fmt(v) for v in numbers)
+    return tuple(_fmt(v) for v in numbers), tuple(dict.fromkeys(primary.flags + secondary.flags))
 
 
 def _cmd_sweep(args, spec) -> int:
@@ -350,11 +358,13 @@ def _cmd_sweep(args, spec) -> int:
         raise CliError(f"--axis counts multiply to {points} points, at most {_MAX_POINTS}")
     grids = [_axis_grid(*ends) for _, *ends in axes]
 
-    rows = [_sweep_eval(spec, names, point) for point in itertools.product(*grids)]
+    results = [_sweep_eval(spec, names, point) for point in itertools.product(*grids)]
     header = tuple(names) + (
         "fidelity", "negativity", "success_probability", "tau", "engine_gap",
     )
-    _emit(args.out, _csv_text(header, rows))
+    _emit(args.out, _csv_text(header, [row for row, _ in results]))
+    for row, flags in results:
+        _report_flags(zip(names, row), flags)
     return 0
 
 
@@ -363,11 +373,12 @@ def _cmd_compare(args, model) -> int:
         taus = _parse_grid(args.taus)
     else:
         taus = np.linspace(0.0, solve_timing(model.params, model.branch, HALF_PI), 21)
-    rows = [(_fmt(row.tau), _fmt(row.fidelity))
-            for row in compare_full_vs_effective(model, taus)]
-    _emit(args.out, _csv_text(("tau", "fidelity"), rows))
+    rows = compare_full_vs_effective(model, taus)
+    _emit(args.out, _csv_text(("tau", "fidelity"), [(_fmt(r.tau), _fmt(r.fidelity)) for r in rows]))
     if args.out is not None:
         sys.stdout.write(f"zeno_ratio={_fmt(zeno_ratio(model.params))}\n")
+    for row in rows:
+        _report_flags([("tau", _fmt(row.tau))], _phase_flags(row.phase_error))
     return 0
 
 

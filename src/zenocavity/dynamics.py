@@ -47,8 +47,12 @@ class Propagator:
         vec = np.asarray(vec, dtype=complex)
         return self.evecs @ (self._phases(t) * (self.evecs.conj().T @ vec))
 
-    def unitary(self, t: float) -> np.ndarray:
-        return (self.evecs * self._phases(t)) @ self.evecs.conj().T
+
+def _phase_flags(error: float) -> list[str]:
+    """The flag of a phase error above 1e-6, as a list of zero or one flags."""
+    # a fidelity drifts by about error**2; at 1e-6 that is the last digit the CLI prints
+    return [] if error <= 1e-6 else [
+        f"phase error eps*max|E|*|t| = {error:.3g} above 1e-6; the last digits drift"]
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +174,14 @@ def zeno_ratio(params: UniformParams) -> float:
 class ComparisonRow:
     tau: float
     fidelity: float
+    phase_error: float  # the larger of the two propagators' eps * max|E| * tau
 
 
 def compare_full_vs_effective(model: BranchModel, taus) -> list[ComparisonRow]:
     """Overlap of the restricted full evolution with the dark-block evolution.
 
-    Returns ``|<psi_eff(tau)|psi_full(tau)>|^2`` per requested duration; the
-    gap measures how far the operating point is from the Zeno limit.
+    Returns ``|<psi_eff(tau)|psi_full(tau)>|^2`` and the larger phase error per
+    requested duration; the gap measures how far the operating point is from the Zeno limit.
     """
     seed = model.seed().vec
     full = Propagator(model.total)
@@ -185,5 +190,5 @@ def compare_full_vs_effective(model: BranchModel, taus) -> list[ComparisonRow]:
     for tau in taus:
         t = float(tau)
         f = abs(np.vdot(eff.apply(seed, t), full.apply(seed, t))) ** 2
-        rows.append(ComparisonRow(t, float(f)))
+        rows.append(ComparisonRow(t, float(f), max(full._phase_error(t), eff._phase_error(t))))
     return rows

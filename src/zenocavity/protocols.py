@@ -36,6 +36,7 @@ from .dynamics import (
     HALF_PI,
     PI,
     Propagator,
+    _phase_flags,
     effective_generator,
     solve_timing,
     zeno_ratio,
@@ -46,6 +47,7 @@ from .spaces import (
     HADAMARD,
     DensityOp,
     HilbertSpace,
+    InvalidSubsystemError,
     State,
     apply_on_mode,
     embed,
@@ -128,6 +130,8 @@ def hadamard_and_reduce(
     modes = list(modes)
     if not modes:
         raise ValueError("at least one mode to act on")
+    if len(set(modes)) != len(modes):
+        raise InvalidSubsystemError(f"repeated modes in {modes}")
     try:
         outcomes = list(outcome)
     except TypeError:  # one scalar outcome for every mode
@@ -342,10 +346,7 @@ def run(spec: ProtocolSpec, model: BranchModel | None = None) -> ProtocolResult:
     gen = model.total if spec.engine == Engine.FULL else effective_generator(model)
     propagator = Propagator(gen)
     psi = State(model.restricted, propagator.apply(model.seed().vec, tau))
-    # a fidelity drifts by about error**2; at 1e-6 that is the last digit the CLI prints
-    error = propagator._phase_error(tau)
-    if error > 1e-6:
-        flags.append(f"phase error eps*max|E|*|t| = {error:.3g} above 1e-6; the last digits drift")
+    flags += _phase_flags(propagator._phase_error(tau))
     target = target_state(spec, model)
 
     atoms = _atoms(spec.branch)

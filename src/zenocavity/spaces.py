@@ -20,8 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Structural identities (hermiticity, unitarity, normalization bookkeeping)
-# are enforced at this absolute tolerance throughout the package.
+# Hermiticity is enforced at this absolute tolerance throughout the package.
 STRUCTURAL_TOL = 1e-12
 
 # Partial transposes are dense eigenproblems; reductions in this system are
@@ -146,16 +145,6 @@ class HilbertSpace:
                 )
         return int(sum(n * s for n, s in zip(occupation, self._strides)))
 
-    def occupation(self, index: int) -> tuple[int, ...]:
-        """Occupation tuple of a basis index (inverse of :meth:`index`)."""
-        if not 0 <= index < self.dim:
-            raise InvalidSubsystemError(f"basis index {index} out of range")
-        out = []
-        for d in reversed(self.dims):
-            index, r = divmod(index, d)
-            out.append(r)
-        return tuple(reversed(out))
-
     def ket(self, **assignments) -> "State":
         """Basis ket by subsystem name; unassigned modes default to vacuum.
 
@@ -179,18 +168,6 @@ class HilbertSpace:
         vec = np.zeros(self.dim, dtype=complex)
         vec[self.index(occ)] = 1.0
         return State(self, vec)
-
-    def label(self, index: int) -> str:
-        """Human-readable basis label: atom levels, then photon numbers, e.g. ``|up down; 01>``."""
-        occ = self.occupation(index)
-        atoms, modes = [], []
-        for sub, n in zip(self.subsystems, occ):
-            (modes if sub.is_mode else atoms).append(
-                str(n) if sub.is_mode else sub.levels[n]
-            )
-        if modes:
-            return "|" + " ".join(atoms) + "; " + "".join(modes) + ">"
-        return "|" + " ".join(atoms) + ">"
 
 
 @dataclass(frozen=True)
@@ -236,12 +213,6 @@ class RestrictedSpace:
                 f"parent basis index {parent_index} not in restricted basis"
             ) from None
 
-    def occupation(self, local: int) -> tuple[int, ...]:
-        return self.parent.occupation(self.indices[local])
-
-    def label(self, local: int) -> str:
-        return self.parent.label(self.indices[local])
-
 
 # ---------------------------------------------------------------------------
 # states and density operators
@@ -265,19 +236,9 @@ class State:
     def norm(self) -> float:
         return float(np.linalg.norm(self.vec))
 
-    def normalized(self) -> "State":
-        n = self.norm()
-        if n < STRUCTURAL_TOL:
-            raise ValueError("cannot normalize a (numerically) zero vector")
-        return State(self.space, self.vec / n)
-
     def __add__(self, other: "State") -> "State":
         _require_same_space(self.space, other.space)
         return State(self.space, self.vec + other.vec)
-
-    def __sub__(self, other: "State") -> "State":
-        _require_same_space(self.space, other.space)
-        return State(self.space, self.vec - other.vec)
 
     def __mul__(self, scalar) -> "State":
         return State(self.space, self.vec * complex(scalar))
@@ -300,9 +261,6 @@ class DensityOp:
                 f"matrix shape {mat.shape} does not match space dim {d}"
             )
         object.__setattr__(self, "mat", mat)
-
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.mat)))
 
 
 def _require_same_space(a, b):

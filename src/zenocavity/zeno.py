@@ -146,12 +146,6 @@ class ZenoDecomposition:
             )
         return self.projectors[i]
 
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros_like(self.projectors[0])
-        for e, p in zip(self.eigenvalues, self.projectors):
-            out = out + e * p
-        return out
-
 
 def decompose(h_c: np.ndarray, cluster_width: float | None = None) -> ZenoDecomposition:
     """Eigendecompose ``h_c`` and merge eigenvalues closer than the width.

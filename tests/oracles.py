@@ -7,6 +7,7 @@ import functools
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 import zenocavity as zc
 from zenocavity.model import CouplingTerm, coupling_terms
@@ -28,6 +29,11 @@ def chain_hamiltonian(params: zc.UniformParams, branch: zc.Branch) -> np.ndarray
     for i, v in enumerate(c):
         h[i, i + 1] = h[i + 1, i] = v
     return h
+
+
+def occupation(space: zc.HilbertSpace, index: int) -> tuple[int, ...]:
+    """The occupation tuple of a basis index: its mixed-radix digits over ``space.dims``."""
+    return tuple(int(n) for n in np.unravel_index(index, space.dims))
 
 
 def excitation_number(space: zc.HilbertSpace) -> np.ndarray:
@@ -77,6 +83,11 @@ def number_commutator_maxabs(h, number_diag: np.ndarray) -> float:
     return float(np.max(np.abs(coo.data * (number_diag[coo.row] - number_diag[coo.col]))))
 
 
+def cluster_sum(dec: zc.ZenoDecomposition) -> np.ndarray:
+    """``sum_n E_n P_n``: the matrix a clustered decomposition stands for."""
+    return sum(e * p for e, p in zip(dec.eigenvalues, dec.projectors))
+
+
 def limiting_generator(dec: zc.ZenoDecomposition, h_s: np.ndarray,
                        coupling: float) -> np.ndarray:
     """Generator of the large-coupling limit: ``sum_n (K E_n P_n + P_n H_S P_n)``."""
@@ -118,3 +129,66 @@ def negativity(rho: zc.DensityOp, part: tuple[int, ...]) -> float:
     """Sum of |negative eigenvalues| of the partial transpose over ``part``."""
     evals = np.linalg.eigvalsh(partial_transpose(rho, part))
     return float(np.sum(np.abs(evals[evals < 0])))
+
+
+# each sector's cavity-B atom and fiber mode, spelled out here rather than read from the code
+_SECTOR_ENDS = {zc.Branch.LEFT: ("b", "F_l"), zc.Branch.RIGHT: ("c", "F_r")}
+# the gate on each fiber mode, one coherent history per operator: the literal Hadamard, or a
+# splitter against a vacuum ancilla whose output port is not seen (photon kept or leaked)
+_FIBER_KRAUS = {
+    zc.GateConvention.UNITARY: (np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0),),
+    zc.GateConvention.BEAMSPLITTER: (np.array([[1.0, 0.0], [0.0, -1.0 / np.sqrt(2.0)]]),
+                                     np.array([[0.0, 1.0 / np.sqrt(2.0)], [0.0, 0.0]])),
+}
+
+
+def _on_axis(op: np.ndarray, tensor: np.ndarray, axis: int) -> np.ndarray:
+    """``op`` applied along one axis of the ket tensor."""
+    return np.moveaxis(np.tensordot(op, tensor, axes=([1], [axis])), 0, axis)
+
+
+def full_space_protocol(spec: zc.ProtocolSpec, tau: float, target: zc.State) -> tuple:
+    """``(fidelity, negativity, success_probability)`` of ``spec`` on the full-engine path,
+    run in the whole 3456-dimensional space without restriction, embedding or cached maps.
+
+    The pulse is ``expm_multiply`` of the full Hamiltonian on the seed; the gates and
+    projectors act by ``np.tensordot`` on the nine-axis ket tensor; the atoms are kept
+    by transposing them to the front. ``target`` is the run's own target, lifted to the
+    full space when it is a sector ket. Entries a protocol does not report are None.
+    """
+    space = zc.full_space(1)
+    h = zc.build_hamiltonian(spec.params, space).total
+    psi = expm_multiply(-1j * tau * h, zc.initial_state(space, spec.branch).vec)
+    sectors = spec.branch.sectors
+    names = [sub.name for sub in space.subsystems]
+    atoms = tuple(sorted(names.index(x) for x in ("a", *(_SECTOR_ENDS[s][0] for s in sectors))))
+    atom_space = zc.HilbertSpace([space.subsystems[i] for i in atoms])
+
+    def reduce(vec):
+        return reduced_density(zc.State(space, vec), atoms)
+
+    def atom_negativity(rho):
+        return negativity(zc.DensityOp(atom_space, rho), (0,))
+
+    protocol = spec.protocol
+    if protocol in (zc.Protocol.STATE_TRANSFER, zc.Protocol.SWAP, zc.Protocol.GHZ):
+        f = abs(np.vdot(zc.embed(target).vec, psi)) ** 2
+        return f, atom_negativity(reduce(psi)) if protocol == zc.Protocol.GHZ else None, None
+    if protocol == zc.Protocol.BELL:
+        rho = reduce(psi)
+        return float(np.real(np.vdot(target.vec, rho @ target.vec))), atom_negativity(rho), None
+
+    # threedim and sixdim: the gate on each sector's fiber mode, then the reduction
+    ops = _FIBER_KRAUS[spec.convention]
+    if spec.interpretation == zc.Interpretation.POSTSELECT:  # the gate, then |o><o|
+        ops = [np.diag(np.eye(2)[spec.outcome]) @ k for k in ops]
+    histories = [psi.reshape(space.dims)]
+    for sector in sectors:
+        axis = names.index(_SECTOR_ENDS[sector][1])
+        histories = [_on_axis(op, t, axis) for op in ops for t in histories]
+    rho = sum(reduce(t.ravel()) for t in histories)
+    p = None
+    if spec.interpretation == zc.Interpretation.POSTSELECT:
+        p = float(np.real(np.trace(rho)))
+        rho = rho / p if p else rho  # an outcome that cannot occur keeps its zero state
+    return float(np.real(np.vdot(target.vec, rho @ target.vec))), atom_negativity(rho), p

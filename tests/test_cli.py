@@ -523,6 +523,52 @@ def test_a_bad_sweep_point_aborts_the_whole_sweep(capsys, tmp_path, workers):
     assert list(tmp_path.iterdir()) == []  # neither the table nor a temp file
 
 
+# Far below the default drive, bell's pulse is long enough for the full engine's phases
+# to drift. The effective-engine table carries that run too, in its engine_gap column.
+PHASE_FLAG = "phase error eps*max|E|*|t| = {} above 1e-6; the last digits drift"
+
+
+@pytest.mark.parametrize("engine", ["full", "effective"])
+def test_sweep_rows_that_drift_are_flagged_on_stderr(capsys, engine):
+    code, out, err = invoke(["sweep", "--name", "bell", "--engine", engine,
+                             "--axis", "omega1:log:1e-13:1e-11:3"], capsys)
+    assert code == 0
+    assert [r[0] for r in rows_of(out)[1]] == ["1e-13", "1e-12", "1e-11"]
+    assert err.splitlines() == [
+        "flag: omega1=1e-13: " + PHASE_FLAG.format("0.00701"),
+        "flag: omega1=1e-12: " + PHASE_FLAG.format("0.000701"),
+        "flag: omega1=1e-11: " + PHASE_FLAG.format("7.01e-05"),
+    ]
+
+
+def test_sweep_flag_lines_name_the_row_and_each_of_its_flags(capsys):
+    base = ["sweep", "--name", "bell", "--engine", "effective"]
+    code, out, err = invoke(base + ["--axis", "g_over_lam:lin:0.1:0.3:2",
+                                    "--axis", "omega1:log:0.001:0.05:2"], capsys)
+    assert code == 0 and len(rows_of(out)[1]) == 4
+    zeno = "zeno ratio {} above 0.1; dark-sector picture degrades"
+    regime = "bell regime wants g << lam; g/lam = 0.3"
+    assert err.splitlines() == [
+        "flag: g_over_lam=0.1, omega1=0.05: " + zeno.format("0.5"),
+        "flag: g_over_lam=0.3, omega1=0.001: " + regime,
+        "flag: g_over_lam=0.3, omega1=0.05: " + zeno.format("0.167") + " | " + regime,
+    ]
+    code, _, err = invoke(base + ["--axis", "g_over_lam:lin:0.05:0.1:2"], capsys)
+    assert (code, err) == (0, "")
+
+
+def test_compare_rows_that_drift_are_flagged_on_stderr(capsys):
+    code, out, err = invoke(["compare", "--omega1", "1e-11"], capsys)
+    assert code == 0
+    _, rows = rows_of(out)
+    lines = err.splitlines()
+    # the phase error grows with tau: every row after tau = 0 is past 1e-6
+    assert len(lines) == len(rows) - 1 == 20
+    for (tau, _), line in zip(rows[1:], lines):
+        assert line.startswith(f"flag: tau={tau}: phase error eps*max|E|*|t| = ")
+    assert lines[-1].endswith(PHASE_FLAG.format("0.000105"))
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------

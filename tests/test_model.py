@@ -264,8 +264,8 @@ def test_cutoff_two_reproduces_the_same_sector():
     assert m2.space.dim == 6 * 3 * 3 * 3**6
     assert m2.dim == 7
     assert np.allclose(m1.total, m2.total, atol=ATOL)
-    assert [m2.restricted.occupation(i) for i in range(7)] == [
-        m1.restricted.occupation(i) for i in range(7)
+    assert [oracles.occupation(m2.space, i) for i in m2.restricted.indices] == [
+        oracles.occupation(m1.space, i) for i in m1.restricted.indices
     ]
 
 

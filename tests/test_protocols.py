@@ -11,9 +11,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 import zenocavity as zc
 from zenocavity.protocols import (
     Engine,
@@ -21,6 +22,7 @@ from zenocavity.protocols import (
     Interpretation,
     Protocol,
     ProtocolSpec,
+    ZERO_PROBABILITY_TOL,
     _PROTOCOLS,
     default_spec,
     hadamard_and_reduce,
@@ -225,7 +227,7 @@ def test_hadamard_trace_returns_no_probability(sixdim_model):
 
 def test_hadamard_zero_probability_branch_raises(space1):
     atoms = dict(a="g_l", b="g_l", c="g_r")
-    psi = (space1.ket(**atoms) - space1.ket(**atoms, F_l=1)) * (1 / math.sqrt(2))
+    psi = (space1.ket(**atoms) + (-1) * space1.ket(**atoms, F_l=1)) * (1 / math.sqrt(2))
     with pytest.raises(ValueError, match="probability"):
         hadamard_and_reduce(psi, ["F_l"], ("a", "b"), outcome=0)
 
@@ -238,6 +240,10 @@ def test_hadamard_validation(space1):
         hadamard_and_reduce(psi, ["F_l", "F_r"], ("a",), outcome=(0,))
     with pytest.raises(ValueError, match="0 or 1"):
         hadamard_and_reduce(psi, ["F_l"], ("a",), outcome=2)
+    # a repeated mode would take the gate twice (H H = 1): p = 1 on the vacuum, not 0.5
+    for modes in (["F_l", "F_l"], ["F_l", "F_r", "F_l"]):
+        with pytest.raises(zc.InvalidSubsystemError, match="repeated"):
+            hadamard_and_reduce(psi, modes, ("a", "b"), outcome=0)
 
 
 # The Zeno limit on the sector state (Facchi & Pascazio, PRL 89, 080401): at
@@ -503,6 +509,61 @@ def test_bell_meets_its_closed_form_or_flags_its_phase_error(lam, g_over_lam, lo
     closed = 2 * lam**2 / (g**2 + 2 * lam**2)
     assert (abs(res.fidelity - closed) <= ENGINE_GAP_C1 * r + 2e-12
             or any(flag.startswith(PHASE_FLAG) for flag in res.flags))
+
+
+# The whole protocol against oracles.full_space_protocol, which runs it in the full
+# 3456-dimensional space with none of the sector machinery. r = drive / min(g, lam) stays
+# at 1e-2 or above because expm_multiply's cost grows with tau * ||H||, and tau grows as
+# 1/r: at r = 1e-2 a case takes 0.2-2 s on 2 vCPUs, at r = 1e-4 six cases took over 300 s.
+# g/lam is in [0.5, 2], and in [0.1, 0.2] for bell, the regime it is defined in.
+_ORACLE_BASE = dict(branch=0, outcome=0, lam=1.0, spread=0.5, log_r=math.log(5e-2))
+
+
+@settings(max_examples=8)
+@example(protocol=Protocol.STATE_TRANSFER, convention=GateConvention.UNITARY,
+         interpretation=Interpretation.POSTSELECT, **{**_ORACLE_BASE, "branch": 2})
+@example(protocol=Protocol.THREE_DIM, convention=GateConvention.BEAMSPLITTER,
+         interpretation=Interpretation.POSTSELECT, **{**_ORACLE_BASE, "branch": 1, "outcome": 1})
+@example(protocol=Protocol.BELL, convention=GateConvention.UNITARY,
+         interpretation=Interpretation.POSTSELECT, **{**_ORACLE_BASE, "spread": 0.0})
+@example(protocol=Protocol.SWAP, convention=GateConvention.UNITARY,
+         interpretation=Interpretation.POSTSELECT, **{**_ORACLE_BASE, "branch": 1})
+@example(protocol=Protocol.GHZ, convention=GateConvention.UNITARY,
+         interpretation=Interpretation.POSTSELECT, **_ORACLE_BASE)
+@example(protocol=Protocol.SIX_DIM, convention=GateConvention.BEAMSPLITTER,
+         interpretation=Interpretation.TRACE, **_ORACLE_BASE)
+@example(protocol=Protocol.SIX_DIM, convention=GateConvention.UNITARY,
+         interpretation=Interpretation.POSTSELECT, **{**_ORACLE_BASE, "outcome": 1})
+# both fiber modes on outcome 1 after the splitter: one photon cannot give that
+@example(protocol=Protocol.SIX_DIM, convention=GateConvention.BEAMSPLITTER,
+         interpretation=Interpretation.POSTSELECT, **{**_ORACLE_BASE, "outcome": 1})
+@given(protocol=st.sampled_from(list(Protocol)), branch=st.integers(0, 2),
+       convention=st.sampled_from(list(GateConvention)),
+       interpretation=st.sampled_from(list(Interpretation)), outcome=st.integers(0, 1),
+       lam=st.floats(0.5, 2.0), spread=st.floats(0.0, 1.0),
+       log_r=st.floats(math.log(1e-2), math.log(5e-2)))
+def test_run_matches_the_full_space_oracle(protocol, branch, convention, interpretation,
+                                           outcome, lam, spread, log_r):
+    g = lam * (0.1 * 2**spread if protocol == Protocol.BELL else 0.5 * 4**spread)
+    drive = math.exp(log_r) * min(g, lam)
+    pi_pulse = _PROTOCOLS[protocol].pulse == zc.PI  # swap and ghz drive every atom
+    drives = ("omega1", "omega2", "omega3") if pi_pulse else ("omega1",)
+    branches = _PROTOCOLS[protocol].branches
+    spec = ProtocolSpec(protocol, branches[branch % len(branches)],
+                        zc.UniformParams(g=g, lam=lam, **dict.fromkeys(drives, drive)),
+                        interpretation=interpretation, outcome=outcome, convention=convention)
+    tau = zc.solve_timing(spec.params, spec.branch, _PROTOCOLS[protocol].pulse)
+    target = zc.target_state(spec, zc.build_branch_model(spec.params, spec.branch))
+    want = oracles.full_space_protocol(spec, tau, target)
+    if want[2] is not None and want[2] < ZERO_PROBABILITY_TOL:
+        with pytest.raises(ValueError, match="probability"):
+            run(spec)
+        return
+    res = run(spec)
+    assert res.tau == tau
+    for got, value in zip((res.fidelity, res.negativity, res.success_probability), want):
+        assert (got is None) == (value is None)
+        assert got is None or abs(got - value) < 1e-10
 
 
 def test_default_params_table():
