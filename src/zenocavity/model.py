@@ -8,12 +8,15 @@ same-polarization mode of both cavities), and classical drives on the
 + h.c.`` with real nonnegative coefficients, so every matrix here is real
 symmetric.
 
-Operators are sparse (CSR) Kronecker products, assembled entry by entry
-with the index arithmetic of ``sp.kron``. The physically
-relevant blocks are the single-excitation sectors picked out by
-:func:`reachable_subspace`, which are 7-dimensional per polarization branch
-(14 for the combined two-branch space); :func:`restrict` compresses an
-operator onto such a sector as a dense matrix.
+The physically relevant blocks are the single-excitation sectors: each
+polarization is a chain of seven states, one link per coupling term, so a
+branch is 7-dimensional (14 for the combined two-branch space). A branch
+model is built from those chain links alone. The full-space path stays as
+its oracle: :func:`build_hamiltonian` assembles sparse (CSR) Kronecker
+products entry by entry with the index arithmetic of ``sp.kron``,
+:func:`reachable_subspace` finds a sector as a closure, and :func:`restrict`
+compresses an operator onto it as a dense matrix. Only these three import
+``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -22,10 +25,9 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .spaces import (
     HilbertSpace,
@@ -35,6 +37,9 @@ from .spaces import (
     State,
     SubsystemSpec,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class ClosureOverflowError(ValueError):
@@ -117,6 +122,11 @@ class _Layout(NamedTuple):
     @property
     def ends(self) -> tuple[tuple[str, str, str], ...]:  # (atom, its cavity's mode, its drive)
         return ("a", self.mode("A"), "omega1"), (self.atom, self.mode("B"), self.drive)
+
+    @property
+    def links(self) -> tuple[str, ...]:  # the coupling of each link of the sector_kets chain
+        (_, _, first), (_, _, last) = self.ends
+        return first, "g", "lam", "lam", "g", last
 
 
 # the only record of which atom, levels, modes and drive belong to which
@@ -236,6 +246,8 @@ def build_hamiltonian(
 
     Every part is a hermitian CSR matrix by construction.
     """
+    import scipy.sparse as sp
+
     if space is None:
         space = full_space()
     terms = coupling_terms(params, space)
@@ -271,6 +283,8 @@ def reachable_subspace(
     driven along a coupling chain this reproduces the natural chain order.
     Raises :class:`ClosureOverflowError` if more than ``cap`` states appear.
     """
+    import scipy.sparse as sp
+
     space = seed.space
     if isinstance(space, RestrictedSpace):
         raise InvalidSubsystemError("seed must live on the full space")
@@ -306,6 +320,8 @@ def restrict(h, subspace: RestrictedSpace) -> np.ndarray:
     Accepts sparse or dense input; raises :class:`SpaceMismatchError` unless
     the operator is square on the subspace's parent space.
     """
+    import scipy.sparse as sp
+
     h = sp.csr_matrix(h)
     n = subspace.parent.dim
     if h.shape != (n, n):
@@ -345,14 +361,6 @@ def initial_state(space: HilbertSpace, branch: Branch) -> State:
     return sum(heads[1:], start=heads[0]) * (1.0 / math.sqrt(len(heads)))
 
 
-@functools.cache
-def _unit_operators(space: HilbertSpace) -> tuple[sp.csr_matrix, ...]:
-    """Full-space total Hamiltonian of each coupling in ``_COUPLINGS`` at value 1."""
-    zero = dict.fromkeys(_COUPLINGS, 0.0)
-    return tuple(build_hamiltonian(UniformParams(**{**zero, name: 1.0}), space).total
-                 for name in _COUPLINGS)
-
-
 @dataclass(frozen=True, eq=False)
 class _Sector:
     """The parameter-independent part of one branch's model on one space."""
@@ -365,24 +373,37 @@ class _Sector:
 
 @functools.cache
 def _sector(branch: Branch, space: HilbertSpace) -> _Sector:
-    """Closure, unit blocks, seed and chain positions, built once per (branch, space).
+    """Chain basis, unit blocks, seed and chain positions, built once per (branch, space).
 
-    The closure runs at unit couplings: sector membership is structural and
-    must not depend on parameter values (a tiny ``g`` or a switched-off drive
-    would otherwise drop its link below the closure tolerance).
+    Each polarization sector is the chain of its :func:`sector_kets`, linked by
+    the couplings of :attr:`_Layout.links`. The basis is the order in which
+    :func:`reachable_subspace` reaches those kets from the seed: chain heads by
+    parent index, then breadth first, neighbours by parent index. Each unit
+    block holds 1.0 on its coupling's links, which is the restriction of that
+    coupling's full Hamiltonian at value 1. Membership is structural, so a
+    tiny ``g`` or a switched-off drive keeps its link.
     """
-    units = _unit_operators(space)
-    full = initial_state(space, branch)
-    restricted = reachable_subspace(sum(units[1:], start=units[0]), full)
-    blocks = tuple(restrict(u, restricted).real for u in units)
-    seed = restricted.project(full.vec)
-    for array in (seed, *blocks):
+    chains = {sector: [ket.vec.nonzero()[0].item() for ket in sector_kets(space, sector)]
+              for sector in branch.sectors}
+    links = [(i, j, _COUPLINGS.index(name)) for sector, chain in chains.items()
+             for i, j, name in zip(chain, chain[1:], _LAYOUT[sector].links)]
+    neighbours = {i: [] for chain in chains.values() for i in chain}
+    for i, j, _ in links:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    order = sorted(chain[0] for chain in chains.values())
+    for i in order:  # first in, first out: the walk reads the list as it grows
+        order += [j for j in sorted(neighbours[i]) if j not in order]
+    local = {parent: n for n, parent in enumerate(order)}
+    units = np.zeros((len(_COUPLINGS), len(order), len(order)))
+    for i, j, unit in links:
+        units[unit, local[i], local[j]] = units[unit, local[j], local[i]] = 1.0
+    restricted = RestrictedSpace(space, tuple(order))
+    seed = restricted.project(initial_state(space, branch).vec)
+    for array in (seed, units):
         array.setflags(write=False)
-    positions = {
-        sector: tuple(restricted.local_index(int(np.argmax(np.abs(k.vec))))
-                      for k in sector_kets(space, sector))
-        for sector in branch.sectors}
-    return _Sector(restricted, blocks, seed, positions)
+    positions = {sector: tuple(local[i] for i in chain) for sector, chain in chains.items()}
+    return _Sector(restricted, tuple(units), seed, positions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,15 +436,16 @@ def build_branch_model(
     branch: Branch,
     space: HilbertSpace | None = None,
 ) -> BranchModel:
-    """Closure plus restricted Hamiltonians for one branch (or the pair).
+    """Chain basis plus restricted Hamiltonians for one branch (or the pair).
 
-    The first call per branch and space assembles the full Hamiltonian of
-    each coupling at unit value and takes the closure of their sum, so the
-    sector contains the full chain even when some protocol drive is zero.
-    Every block is linear in the couplings, so each call after that is a
-    five-term combination of the cached unit blocks; each chain entry comes
-    from exactly one coupling term, so the result equals a fresh restriction
-    of :func:`build_hamiltonian` bit for bit.
+    The first call per branch and space builds the sector from its chain
+    links: its basis and one unit block per coupling, with 1.0 on that
+    coupling's links, so the sector contains the full chain even when some
+    protocol drive is zero. Every block is linear in the couplings, so each
+    call is a five-term combination of the cached unit blocks; each chain
+    entry comes from exactly one coupling term, so the result equals a fresh
+    restriction of :func:`build_hamiltonian` to :func:`reachable_subspace` bit
+    for bit. That sparse full-space path is the oracle only.
     """
     if params.g <= 0 or params.lam <= 0:
         raise ValueError("branch sectors need g > 0 and lam > 0")

@@ -58,15 +58,14 @@ def _flapack():
     The extension needs only numpy, so it is loaded from its file under its own
     name (its init symbol is ``PyInit__flapack``) and then dropped from
     ``sys.modules``, where a later ``import scipy.linalg`` loads its own copy.
-    Once ``scipy.linalg`` is loaded, or if the file is not where scipy keeps it,
-    this is a plain import.
+    Once ``scipy.linalg`` is loaded, or if scipy or the file is not found, this
+    is a plain import.
     """
     name = "scipy.linalg._flapack"
-    if "scipy.linalg" not in sys.modules:
-        import scipy
-
+    package = importlib.util.find_spec("scipy")  # finds scipy without running its __init__
+    if "scipy.linalg" not in sys.modules and package is not None:
         finder = importlib.machinery.FileFinder(  # find_spec(name) imports scipy.linalg
-            os.path.join(os.path.dirname(scipy.__file__), "linalg"),
+            os.path.join(package.submodule_search_locations[0], "linalg"),
             (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
         spec = finder.find_spec(name)
         if spec is not None:

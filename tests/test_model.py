@@ -1,5 +1,6 @@
 """Hamiltonian assembly, conservation laws, and the sector closure."""
 
+import dataclasses
 import math
 import re
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import oracles
 import zenocavity as zc
 import zenocavity.model as model_mod
+import zenocavity.zeno as zeno_mod
 from oracles import chain_hamiltonian, excitation_number, number_commutator_maxabs
 from zenocavity.model import CouplingTerm, coupling_terms, full_space, restrict
 
@@ -303,6 +305,12 @@ def _assert_matches_oracle(params, branch, space):
     assert model.restricted.indices == restricted.indices
     for name, block in blocks.items():
         assert getattr(model, name).tobytes() == block.tobytes(), name
+    seed = restricted.project(zc.initial_state(space, branch).vec)
+    assert model.seed().vec.tobytes() == seed.tobytes()
+    for sector in branch.sectors:
+        assert zeno_mod._sector_positions(model, sector) == tuple(
+            restricted.local_index(int(np.argmax(np.abs(ket.vec))))
+            for ket in zc.sector_kets(space, sector))
 
 
 _drive = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
@@ -319,18 +327,35 @@ def test_cached_model_equals_the_oracle_at_cutoff_two():
     _assert_matches_oracle(PARAMS, zc.Branch.COMBINED, full_space(2))
 
 
-def test_warm_builds_assemble_nothing(space1, monkeypatch):
-    for branch in BRANCHES:
-        zc.build_branch_model(PARAMS, branch, space=space1)
+def _permuted_space(swap_sectors):
+    # the nine factors in another order; optionally atom a lists the right sector first
+    subsystems = list(reversed(full_space(1).subsystems))
+    if swap_sectors:
+        a = subsystems[-1]
+        subsystems[-1] = dataclasses.replace(a, levels=a.levels[3:] + a.levels[:3])
+    return zc.HilbertSpace(subsystems)
+
+
+@pytest.mark.parametrize("swap_sectors", [False, True])
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_cached_model_equals_the_oracle_on_a_permuted_register(branch, swap_sectors):
+    # the chain walk orders the basis by parent index, not by register or sector order
+    _assert_matches_oracle(PARAMS, branch, _permuted_space(swap_sectors))
+
+
+def test_cold_builds_assemble_nothing(space1, monkeypatch):
     calls = []
-    build = model_mod.build_hamiltonian
-    monkeypatch.setattr(model_mod, "build_hamiltonian",
-                        lambda *a, **k: calls.append(a) or build(*a, **k))
+    for name in ("build_hamiltonian", "reachable_subspace", "restrict"):
+        oracle = getattr(model_mod, name)
+        monkeypatch.setattr(model_mod, name,
+                            lambda *a, _f=oracle, **k: calls.append(a) or _f(*a, **k))
+    model_mod._sector.cache_clear()
     fresh = zc.UniformParams(g=0.3, lam=4.0, omega1=0.2, omega3=0.7)
     for branch in BRANCHES:
         zc.build_branch_model(fresh, branch, space=space1)
         zc.build_branch_model(fresh, branch)  # an equal space shares the cache
     assert calls == []
+    assert model_mod._sector.cache_info().currsize == len(BRANCHES)
 
 
 def test_callers_cannot_corrupt_the_cached_sector(space1):

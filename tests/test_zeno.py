@@ -159,7 +159,8 @@ from zenocavity.cli import main
 from zenocavity.zeno import _eigh
 
 def check(what):
-    assert "scipy.linalg" not in sys.modules, f"{what} imported scipy.linalg"
+    for name in ("scipy.linalg", "scipy.sparse"):
+        assert name not in sys.modules, f"{what} imported {name}"
 
 check("import")
 for part, test in (("protocol-cli", golden.test_protocol_cli_bytes),
@@ -185,7 +186,7 @@ for dtype in (np.float32, float, np.complex64, complex):
 """
 
 
-def test_a_fresh_process_never_imports_scipy_linalg():
+def test_a_fresh_process_never_imports_scipy_linalg_or_sparse():
     here = Path(__file__).resolve().parent
     path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
                                          os.environ.get("PYTHONPATH")]))
