@@ -15,14 +15,18 @@ single results are JSON, and every file write is atomic (temp file in the
 destination directory, then rename).  A sweep runs every point in one process,
 in row-major axis order; ``--workers N`` (N >= 1) is accepted and ignored.
 
-Exit codes: 0 success, 2 usage or configuration error, 1 numeric failure.
+Exit codes: 0 success, 2 usage or configuration error (an ``--out`` that
+cannot be written included), 1 numeric failure.
+
+A process runs :func:`entry`, which freezes the heap on its way out so that
+the interpreter's last collection skips it; :func:`main`, which tests and
+library callers run in-process, leaves the heap as it is.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
-import csv
+import gc
 import io
 import itertools
 import json
@@ -105,20 +109,25 @@ def _fmt(value) -> str:
 def _atomic_write(path: str, text: str) -> None:
     # temp file in the same directory so os.replace stays a rename
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".zenocavity-", suffix=".part")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".zenocavity-", suffix=".part")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _csv_text(header, rows) -> str:
+    import csv  # only tables need it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -147,6 +156,8 @@ def _report_flags(cells, flags) -> None:
 def _load_config(path):
     if path is None:
         return None
+    import configparser  # only --config needs it
+
     parser = configparser.ConfigParser()
     try:
         loaded = parser.read(path)
@@ -477,5 +488,17 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> int:
+    """:func:`main` for a process that ends with it: ``python -m`` and the console script.
+
+    The heap is frozen on every way out, argparse's ``SystemExit`` included,
+    so the collection at interpreter shutdown skips all that the run left.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

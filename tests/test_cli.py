@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zenocavity import cli
 from zenocavity.cli import _AXIS_NAMES, _parse_grid, main
 from zenocavity.protocols import Engine, Protocol
 
@@ -336,6 +338,22 @@ def test_protocol_out_file_matches_stdout(tmp_path, capsys):
     assert leftovers == []
 
 
+@pytest.mark.parametrize("command,target,reason", [
+    (["protocol", "--name", "bell"], "missing/x.json", "No such file or directory"),
+    (["protocol", "--name", "bell"], "taken", "Is a directory"),
+    (["sweep", "--name", "bell", "--engine", "effective",
+      "--axis", "g_over_lam:lin:0.05:0.1:2"], "missing/x.csv", "No such file or directory"),
+])
+def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys, command, target, reason):
+    (tmp_path / "taken").mkdir()
+    path = tmp_path / target
+    code, out, err = invoke(command + ["--out", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {path}: {reason}\n"
+    assert sorted(os.listdir(tmp_path)) == ["taken"]
+    assert os.listdir(tmp_path / "taken") == []
+
+
 def test_config_layering(tmp_path, capsys):
     cfg = tmp_path / "runs.ini"
     cfg.write_text(
@@ -628,14 +646,19 @@ for part, test in (("protocol-cli", golden.test_protocol_cli_bytes),
 """
 
 
-def _fresh_process(code, **threads):
-    """Run ``code`` in a new interpreter with only the given thread variables set."""
+def _python(*args, **threads):
+    """Run a new interpreter on ``args`` with only the given thread variables set."""
     here = Path(__file__).resolve().parent
     env = {name: value for name, value in os.environ.items() if name not in THREAD_VARIABLES}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env={**env, **threads}, timeout=300)
+
+
+def _fresh_process(code, **threads):
+    """Run ``code`` in a new interpreter; its stdout, once it has exited 0."""
+    done = _python("-c", code, **threads)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -661,3 +684,100 @@ def test_main_loads_scipys_blas_single_threaded_unless_a_variable_is_set(threads
                          ids=["unset", "OPENBLAS_NUM_THREADS=2"])
 def test_golden_outputs_do_not_depend_on_blas_threads(threads):
     _fresh_process(_GOLDEN_OUTPUTS, **threads)
+
+
+# ---------------------------------------------------------------------------
+# the process entry: python -m zenocavity.cli and the console script
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv,want", [
+    (["protocol", "--name", "bell"], 0),
+    (["protocol", "--name", "bell", "--g", "1e-300"], 1),
+    (["protocol", "--name", "bell", "--out", "missing/x.json"], 2),
+], ids=["success", "numeric-failure", "unwritable-out"])
+def test_a_fresh_process_matches_main_in_process(tmp_path, capsys, argv, want):
+    argv = [str(tmp_path / a) if a.startswith("missing/") else a for a in argv]
+    code, out, err = invoke(argv, capsys)
+    assert code == want
+    done = _python("-m", "zenocavity.cli", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(capsys):
+    assert invoke(["protocol", "--name", "bell"], capsys)[0] == 0
+    assert invoke(["protocol", "--name", "bogus"], capsys)[0] == 2
+    assert invoke(["protocol"], capsys)[0] == 2  # argparse's SystemExit
+    assert gc.get_freeze_count() == 0
+
+
+_ENTRY_FREEZES = r"""
+import contextlib, gc, io, sys
+from zenocavity.cli import entry
+
+sys.argv = ["zenocavity", "protocol", "--name", "bell"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert entry() == 0
+assert gc.get_freeze_count() > 0
+gc.unfreeze()
+sys.argv = ["zenocavity", "protocol"]  # argparse exits from inside main
+with contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.suppress(SystemExit):
+        entry()
+assert gc.get_freeze_count() > 0
+"""
+
+
+def test_the_entry_freezes_the_heap_on_every_way_out():
+    _fresh_process(_ENTRY_FREEZES)
+
+
+def test_the_console_script_is_the_module_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["zenocavity"]
+    module, _, name = target.partition(":")
+    assert module == "zenocavity.cli"
+    assert getattr(cli, name, None) is cli.entry
+
+
+# configparser serves only --config and csv only tables; a protocol run loads neither
+_LAZY_IMPORTS = r"""
+import contextlib, io, json, os, sys, tempfile
+from pathlib import Path
+
+def check(what):
+    for name in ("configparser", "csv"):
+        assert name not in sys.modules, f"{what} imported {name}"
+
+def stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    return out.getvalue()
+
+check("the interpreter")
+import zenocavity
+from zenocavity.cli import main
+check("import zenocavity.cli")
+stdout(["protocol", "--name", "bell"])
+check("protocol")
+
+# the seed-0 references, recorded before the imports moved
+reference = json.loads((Path(zenocavity.__file__).resolve().parents[2] / "perfbench"
+                        / "reference" / "seed0.json").read_text())
+with tempfile.TemporaryDirectory() as tmp:
+    config = os.path.join(tmp, "run.ini")
+    for key, want in sorted(reference["protocol-cli"].items()):
+        head, *assignments = key.split()
+        protocol, engine = head.split("/")
+        with open(config, "w") as handle:
+            handle.write("[params]\n" + "".join(f"{a.replace('=', ' = ')}\n" for a in assignments)
+                         + f"[{protocol}]\nengine = {engine}\n")
+        assert stdout(["protocol", "--name", protocol, "--config", config]) == want, key
+for key, want in reference["sweep-grid"].items():
+    assert stdout(key.split()) == want, key
+"""
+
+
+def test_configparser_and_csv_load_only_where_they_are_used():
+    _fresh_process(_LAZY_IMPORTS)
