@@ -48,7 +48,6 @@ from .dynamics import (
 from .model import (
     _COUPLINGS,
     Branch,
-    ClosureOverflowError,
     UniformParams,
     build_branch_model,
 )
@@ -87,7 +86,6 @@ _MAX_POINTS = 10**6
 _NUMERIC_ERRORS = (
     ClusterAmbiguityError,
     DegenerateStructureError,
-    ClosureOverflowError,
     np.linalg.LinAlgError,
     ArithmeticError,
 )

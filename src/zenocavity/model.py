@@ -12,11 +12,10 @@ The physically relevant blocks are the single-excitation sectors: each
 polarization is a chain of seven states, one link per coupling term, so a
 branch is 7-dimensional (14 for the combined two-branch space). A branch
 model is built from those chain links alone. The full-space path stays as
-its oracle: :func:`build_hamiltonian` assembles sparse (CSR) Kronecker
-products entry by entry with the index arithmetic of ``sp.kron``,
-:func:`reachable_subspace` finds a sector as a closure, and :func:`restrict`
-compresses an operator onto it as a dense matrix. Only these three import
-``scipy.sparse``.
+its oracle: :func:`build_hamiltonian` sums each term as a plain ``sp.kron``
+chain over the nine factors (CSR), :func:`reachable_subspace` finds a sector
+as a closure, and :func:`restrict` compresses an operator onto it as a dense
+matrix. Only these three import ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -197,32 +196,6 @@ def coupling_terms(params: UniformParams, space: HilbertSpace) -> list[CouplingT
     return terms
 
 
-def _materialize(term: CouplingTerm, space: HilbertSpace) -> tuple[np.ndarray, ...]:
-    """Rows, columns and values of ``coeff * kron(O_1, ..., O_n)``, identities filled in.
-
-    Built by index arithmetic, one factor at a time as ``sp.kron`` builds it:
-    an entry's row and column are mixed-radix numbers of its local rows and
-    columns, and its value is the product of one local entry per factor,
-    multiplied in factor order, so each value has the bytes of the Kronecker
-    chain.
-    """
-    local = dict(term.factors)
-    rows = cols = np.zeros(1, dtype=np.intp)
-    values = np.ones(1)
-    for sub in space.subsystems:
-        m = local.get(sub.name)
-        if m is None:
-            r = c = np.arange(sub.dim)
-            v = np.ones(sub.dim)
-        else:
-            r, c = np.nonzero(m)
-            v = m[r, c]
-        rows = (rows[:, None] * sub.dim + r).ravel()
-        cols = (cols[:, None] * sub.dim + c).ravel()
-        values = (values[:, None] * v).ravel()
-    return rows, cols, term.coeff * values
-
-
 @dataclass(frozen=True, eq=False)
 class HamiltonianParts:
     """The three physical parts plus their sums, as CSR matrices on one space.
@@ -244,7 +217,10 @@ def build_hamiltonian(
 ) -> HamiltonianParts:
     """Assemble the Hamiltonian parts on ``space`` (default cutoff-1 space).
 
-    Every part is a hermitian CSR matrix by construction.
+    Each :func:`coupling_terms` term is ``coeff`` times the ``sp.kron`` chain of
+    its local matrices over the register, identities filled in; each part is
+    the running CSR sum of its terms plus their conjugate transposes, so it is
+    hermitian by construction. This is the oracle of :func:`build_branch_model`.
     """
     import scipy.sparse as sp
 
@@ -253,14 +229,17 @@ def build_hamiltonian(
     terms = coupling_terms(params, space)
     parts = {}
     for name in ("cavity", "fiber", "drive"):
-        entries = [_materialize(term, space) for term in terms if term.part == name]
-        empty = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
-        rows, cols, values = (np.concatenate(arrays) for arrays in zip(empty, *entries))
-        # each term and its conjugate transpose; no two share an entry, so no value is a sum
-        parts[name] = sp.csr_matrix(
-            (np.concatenate([values, values.conj()]),
-             (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-            shape=(space.dim, space.dim))
+        acc = sp.csr_matrix((space.dim, space.dim))
+        for term in (t for t in terms if t.part == name):
+            local = dict(term.factors)
+            m = sp.identity(1, format="csr")
+            for sub in space.subsystems:
+                factor = local.get(sub.name)
+                m = sp.kron(m, sp.identity(sub.dim, format="csr") if factor is None
+                            else sp.csr_matrix(factor), format="csr")
+            m = term.coeff * m
+            acc = acc + m + m.conj().T
+        parts[name] = acc
     strong = parts["cavity"] + parts["fiber"]
     return HamiltonianParts(space, parts["cavity"], parts["fiber"], parts["drive"],
                             strong, strong + parts["drive"])
@@ -445,7 +424,8 @@ def build_branch_model(
     call is a five-term combination of the cached unit blocks; each chain
     entry comes from exactly one coupling term, so the result equals a fresh
     restriction of :func:`build_hamiltonian` to :func:`reachable_subspace` bit
-    for bit. That sparse full-space path is the oracle only.
+    for bit. That full-space path, a sum of plain ``sp.kron`` chains, is the
+    oracle only.
     """
     if params.g <= 0 or params.lam <= 0:
         raise ValueError("branch sectors need g > 0 and lam > 0")

@@ -10,7 +10,6 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 import zenocavity as zc
-from zenocavity.model import CouplingTerm, coupling_terms
 
 
 def chain_hamiltonian(params: zc.UniformParams, branch: zc.Branch) -> np.ndarray:
@@ -46,33 +45,6 @@ def excitation_number(space: zc.HilbertSpace) -> np.ndarray:
                else np.array([0.0 if lv.startswith("g") else 1.0 for lv in sub.levels])
                for sub in space.subsystems]
     return functools.reduce(lambda acc, w: np.add.outer(acc, w).ravel(), weights)
-
-
-def kron_chain(term: CouplingTerm, space: zc.HilbertSpace) -> sp.csr_matrix:
-    """``coeff * kron(O_1, ..., O_n)``: one ``sp.kron`` per factor, identities filled in."""
-    local = dict(term.factors)
-    out = sp.identity(1, format="csr")
-    for sub in space.subsystems:
-        m = local.get(sub.name)
-        factor = sp.csr_matrix(m) if m is not None else sp.identity(sub.dim, format="csr")
-        out = sp.kron(out, factor, format="csr")
-    return term.coeff * out
-
-
-def kron_hamiltonian(params: zc.UniformParams, space: zc.HilbertSpace) -> dict:
-    """The five parts of ``build_hamiltonian`` as running CSR sums of Kronecker chains."""
-    terms = coupling_terms(params, space)
-    parts = {}
-    for name in ("cavity", "fiber", "drive"):
-        acc = sp.csr_matrix((space.dim, space.dim))
-        for term in terms:
-            if term.part == name:
-                m = kron_chain(term, space)
-                acc = acc + m + m.conj().T
-        parts[name] = acc
-    parts["strong"] = parts["cavity"] + parts["fiber"]
-    parts["total"] = parts["strong"] + parts["drive"]
-    return parts
 
 
 def number_commutator_maxabs(h, number_diag: np.ndarray) -> float:

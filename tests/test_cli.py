@@ -327,6 +327,20 @@ def test_a_phase_error_above_1e_6_is_flagged(capsys, argv, flags):
     assert json.loads(out)["flags"] == flags
 
 
+# sixdim post-selects one outcome on both fiber modes, and one photon behind the splitters
+# cannot click on both; the unitary convention and the trace interpretation do read outcome 1
+def test_sixdim_beamsplitter_outcome_1_is_a_usage_error(capsys):
+    argv = "protocol --name sixdim --convention beamsplitter --outcome 1".split()
+    for point in ([], ["--engine", "effective"], ["--g", "3", "--lam", "0.5"]):
+        code, out, err = invoke(argv + point, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: post-selection on outcome(s) [1, 1] has probability ~0\n"  # no traceback
+    code, out, err = invoke(argv + ["--convention", "unitary"], capsys)
+    assert (code, err) == (0, "") and abs(json.loads(out)["success_probability"] - 0.25) < 1e-12
+    code, out, err = invoke(argv + ["--interpretation", "trace"], capsys)
+    assert (code, err) == (0, "") and json.loads(out)["success_probability"] is None
+
+
 def test_protocol_out_file_matches_stdout(tmp_path, capsys):
     args = ["protocol", "--name", "bell", "--engine", "effective"]
     _, stdout_text, _ = invoke(args, capsys)

@@ -15,7 +15,7 @@ import zenocavity as zc
 import zenocavity.model as model_mod
 import zenocavity.zeno as zeno_mod
 from oracles import chain_hamiltonian, excitation_number, number_commutator_maxabs
-from zenocavity.model import CouplingTerm, coupling_terms, full_space, restrict
+from zenocavity.model import coupling_terms, full_space, restrict
 
 ATOL = 1e-12
 
@@ -86,65 +86,6 @@ def test_build_hamiltonian_hermitian_and_sparse(space1):
     assert abs(dev).max() < ATOL
     sums = parts.cavity + parts.fiber + parts.drive - parts.total
     assert abs(sums).max() < ATOL
-
-
-def _csr_bytes(m):
-    """Everything a CSR matrix is made of: its three arrays with their dtypes, and its flags."""
-    return ([(a.dtype, a.tobytes()) for a in (m.indptr, m.indices, m.data)]
-            + [m.shape, m.format, m.has_canonical_format])
-
-
-def _materialized(term, space):
-    rows, cols, values = model_mod._materialize(term, space)
-    return sp.csr_matrix((values, (rows, cols)), shape=(space.dim, space.dim))
-
-
-@pytest.mark.parametrize("cutoff", [1, 2])
-def test_materialize_is_the_kron_chain_byte_for_byte(cutoff):
-    space = full_space(cutoff)
-    for term in coupling_terms(PARAMS, space):
-        assert _csr_bytes(_materialized(term, space)) == _csr_bytes(
-            oracles.kron_chain(term, space)), term
-
-
-_SQRT_N = [math.sqrt(n) for n in range(1, 4)]
-
-
-@st.composite
-def _terms(draw):
-    """A term of 1-3 local factors on the cutoff-1 or -2 space, entries 0, sqrt(n) or any float."""
-    space = full_space(draw(st.sampled_from([1, 2])))
-    subs = draw(st.lists(st.sampled_from(space.subsystems), min_size=1, max_size=3,
-                         unique_by=lambda sub: sub.name))
-    entry = st.one_of(st.just(0.0), st.just(-0.0), st.sampled_from(_SQRT_N),
-                      st.floats(-10.0, 10.0))
-    factors = tuple(
-        (sub.name, np.array(draw(st.lists(entry, min_size=sub.dim**2, max_size=sub.dim**2)))
-         .reshape(sub.dim, sub.dim))
-        for sub in subs)
-    coeff = draw(st.one_of(st.sampled_from(_SQRT_N), st.floats(-1e3, 1e3)))
-    return space, CouplingTerm("cavity", coeff, factors)
-
-
-@settings(max_examples=40)
-@given(drawn=_terms())
-def test_materialize_of_any_product_term_is_the_kron_chain_byte_for_byte(drawn):
-    space, term = drawn
-    assert _csr_bytes(_materialized(term, space)) == _csr_bytes(oracles.kron_chain(term, space))
-
-
-_coupling = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
-
-
-@pytest.mark.parametrize("cutoff", [1, 2])
-@settings(max_examples=8)
-@given(couplings=st.tuples(*[_coupling] * 5))
-def test_hamiltonian_parts_are_the_kron_formulation_byte_for_byte(cutoff, couplings):
-    space = full_space(cutoff)
-    params = zc.UniformParams(*couplings)
-    parts = zc.build_hamiltonian(params, space)
-    for name, want in oracles.kron_hamiltonian(params, space).items():
-        assert _csr_bytes(getattr(parts, name)) == _csr_bytes(want), name
 
 
 def test_total_commutes_with_excitation_number(space1):
