@@ -1,6 +1,7 @@
 """Hamiltonian assembly, conservation laws, and the sector closure."""
 
 import dataclasses
+import hashlib
 import math
 import re
 
@@ -86,6 +87,38 @@ def test_build_hamiltonian_hermitian_and_sparse(space1):
     assert abs(dev).max() < ATOL
     sums = parts.cavity + parts.fiber + parts.drive - parts.total
     assert abs(sums).max() < ATOL
+
+
+@pytest.mark.parametrize("cutoff", [1, 2])
+def test_build_hamiltonian_parts_are_canonical_csr(cutoff):
+    space = full_space(cutoff)
+    parts = zc.build_hamiltonian(PARAMS, space)
+    for m in (parts.cavity, parts.fiber, parts.drive, parts.strong, parts.total):
+        assert m.format == "csr" and m.dtype == np.float64
+        assert m.shape == (space.dim, space.dim)
+        assert m.has_canonical_format and np.count_nonzero(m.data) == m.nnz
+    assert (parts.strong != parts.cavity + parts.fiber).nnz == 0
+    assert (parts.total != parts.strong + parts.drive).nnz == 0
+
+
+# sha256 of the five parts' CSR arrays at PARAMS, as the index-arithmetic
+# Kronecker build that preceded the ``sp.kron`` chains produced them.
+_PART_DIGESTS = {
+    1: "ac9cf05fe0e359136b85fb447682a17398578e47e2224b56ad817802d69a5373",
+    2: "3ad01df29b23c662a7c66dbffe81ce280acca0b37561a973f208681440427d0e",
+}
+
+
+@pytest.mark.parametrize("cutoff", [1, 2])
+def test_build_hamiltonian_parts_keep_their_bytes(cutoff):
+    parts = zc.build_hamiltonian(PARAMS, full_space(cutoff))
+    h = hashlib.sha256()
+    for m in (parts.cavity, parts.fiber, parts.drive, parts.strong, parts.total):
+        h.update(repr((m.shape, m.format, m.has_canonical_format, m.nnz)).encode())
+        for a in (m.indptr, m.indices, m.data):
+            h.update(a.dtype.str.encode())
+            h.update(a.tobytes())
+    assert h.hexdigest() == _PART_DIGESTS[cutoff]
 
 
 def test_total_commutes_with_excitation_number(space1):
