@@ -40,13 +40,12 @@ import numpy as np
 
 from .dynamics import (
     HALF_PI,
-    _phase_flags,
     compare_full_vs_effective,
     solve_timing,
     zeno_ratio,
 )
 from .model import (
-    _COUPLINGS,
+    COUPLINGS,
     Branch,
     UniformParams,
     build_branch_model,
@@ -62,7 +61,6 @@ from .protocols import (
 from .zeno import (
     ClusterAmbiguityError,
     DegenerateStructureError,
-    _flapack,
     analytic_dark_bright,
     bright_comparison,
     decompose,
@@ -78,7 +76,7 @@ class CliError(ValueError):
 _SPEC_KEYS = ("branch", "k", "engine", "interpretation", "outcome", "convention")
 # also the order sweep axes are applied in: a derived ratio reads the values
 # of the axes before it (g_over_lam sets g from lam, omega1_over_g omega1 from g)
-_AXIS_NAMES = _COUPLINGS + ("g_over_lam", "omega1_over_g")
+_AXIS_NAMES = COUPLINGS + ("g_over_lam", "omega1_over_g")
 
 # largest grid a --taus or --axis flag (or the product of two axes) may ask for
 _MAX_POINTS = 10**6
@@ -211,18 +209,18 @@ def _resolve(args, config):
         section, base = None, args.defaults
     layers = [] if config is None else [
         (name, _section_items(config, name, allowed))
-        for name, allowed in (("params", _COUPLINGS), (section, _COUPLINGS + _SPEC_KEYS))
+        for name, allowed in (("params", COUPLINGS), (section, COUPLINGS + _SPEC_KEYS))
         if name is not None and config.has_section(name)]
-    layers.append((None, {key: getattr(args, key, None) for key in _COUPLINGS + _SPEC_KEYS}))
+    layers.append((None, {key: getattr(args, key, None) for key in COUPLINGS + _SPEC_KEYS}))
 
-    values = {key: getattr(base, key) for key in _COUPLINGS}
+    values = {key: getattr(base, key) for key in COUPLINGS}
     overrides = {}
     for name, layer in layers:
         for key, raw in layer.items():
             if raw is None:
                 continue
             try:
-                if key in _COUPLINGS:
+                if key in COUPLINGS:
                     values[key] = _as_float(key, raw)
                 elif section is not None:
                     value = _as_int(key, raw) if key in ("k", "outcome") else raw
@@ -387,7 +385,7 @@ def _cmd_compare(args, model) -> int:
     if args.out is not None:
         sys.stdout.write(f"zeno_ratio={_fmt(zeno_ratio(model.params))}\n")
     for row in rows:
-        _report_flags([("tau", _fmt(row.tau))], _phase_flags(row.phase_error))
+        _report_flags([("tau", _fmt(row.tau))], row.flags)
     return 0
 
 
@@ -398,7 +396,7 @@ def _cmd_compare(args, model) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", metavar="FILE", help="INI config file")
-    for key in _COUPLINGS:
+    for key in COUPLINGS:
         shared.add_argument(f"--{key}", type=float, metavar="X")
     shared.add_argument("--out", metavar="FILE", help="write here instead of stdout")
 
@@ -452,38 +450,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_lapack() -> None:
-    """Load scipy's LAPACK extension, with a one-thread BLAS pool unless the user chose one.
-
-    A command makes only small LAPACK calls, and a two-thread pool started
-    this close to the end of the process costs it about 0.1 s on 2 vCPUs.
-    ``OPENBLAS_NUM_THREADS`` is set for the load alone: ``os.environ``
-    comes back as it was, and numpy's pool, which started on import, keeps
-    the inherited setting.
+def main(argv=None) -> int:
+    """Run one command. Its first eigensolver call loads scipy's LAPACK and OpenBLAS, with a
+    one-thread pool unless the user chose one: the calls are small, and a two-thread pool
+    started this late costs about 0.1 s on 2 vCPUs. ``os.environ`` comes back as it was,
+    and numpy's pool, started on import, keeps the inherited setting.
     """
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     pin = not any(name in os.environ for name in _BLAS_THREAD_VARIABLES)
     if pin:
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
-        _flapack()
-    finally:
-        if pin:
-            del os.environ["OPENBLAS_NUM_THREADS"]
-
-
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        target = _resolve(args, _load_config(args.config))
-        _load_lapack()
-        return args.func(args, target)
+        return args.func(args, _resolve(args, _load_config(args.config)))
     except _NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:  # CliError and every other bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if pin:
+            del os.environ["OPENBLAS_NUM_THREADS"]
 
 
 def entry() -> int:

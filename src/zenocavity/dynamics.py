@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _LAYOUT, Branch, BranchModel, UniformParams
+from .model import LAYOUT, Branch, BranchModel, UniformParams
 from .spaces import require_hermitian
-from .zeno import _eigh, sector_dark_columns
+from .zeno import eigh
 
 _EPS = float(np.finfo(float).eps)
 
@@ -27,7 +27,7 @@ class Propagator:
     def __init__(self, h: np.ndarray):
         h = np.asarray(h)
         require_hermitian(h, what="Hamiltonian")
-        self.evals, self.evecs = _eigh(h)
+        self.evals, self.evecs = eigh(h)
         self._radius = float(np.max(np.abs(self.evals)))
 
     def _phase_error(self, t: float) -> float:
@@ -47,12 +47,12 @@ class Propagator:
         vec = np.asarray(vec, dtype=complex)
         return self.evecs @ (self._phases(t) * (self.evecs.conj().T @ vec))
 
-
-def _phase_flags(error: float) -> list[str]:
-    """The flag of a phase error above 1e-6, as a list of zero or one flags."""
-    # a fidelity drifts by about error**2; at 1e-6 that is the last digit the CLI prints
-    return [] if error <= 1e-6 else [
-        f"phase error eps*max|E|*|t| = {error:.3g} above 1e-6; the last digits drift"]
+    def flags(self, t: float) -> list[str]:
+        """The flag of a phase error above 1e-6 at ``t``, as a list of zero or one flags."""
+        # a fidelity drifts by about error**2; at 1e-6 that is the last digit the CLI prints
+        error = self._phase_error(t)
+        return [] if error <= 1e-6 else [
+            f"phase error eps*max|E|*|t| = {error:.3g} above 1e-6; the last digits drift"]
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +76,9 @@ class DriveAngles:
 
     @classmethod
     def of(cls, params: UniformParams, branch: Branch) -> "DriveAngles":
-        if branch not in _LAYOUT:
+        if branch not in LAYOUT:
             raise ValueError("combined evolution is per-sector; pick a branch")
-        om_a, om_b = params.omega1, getattr(params, _LAYOUT[branch].drive)
+        om_a, om_b = params.omega1, getattr(params, LAYOUT[branch].drive)
         omega = math.hypot(om_a, om_b)
         if omega <= 0:
             raise ValueError("both drives are zero; the dark sector does not move")
@@ -117,7 +117,7 @@ def effective_generator(model: BranchModel) -> np.ndarray:
     """
     h = np.zeros((model.dim, model.dim))
     for sector in model.branch.sectors:
-        dark = sector_dark_columns(model, sector)
+        dark = model.dark[sector]
         m = effective_matrix(model.params, sector)
         h += dark @ m @ dark.T
     return h
@@ -174,13 +174,13 @@ def zeno_ratio(params: UniformParams) -> float:
 class ComparisonRow:
     tau: float
     fidelity: float
-    phase_error: float  # the larger of the two propagators' eps * max|E| * tau
+    flags: tuple[str, ...]  # of the larger of the two propagators' phase errors
 
 
 def compare_full_vs_effective(model: BranchModel, taus) -> list[ComparisonRow]:
     """Overlap of the restricted full evolution with the dark-block evolution.
 
-    Returns ``|<psi_eff(tau)|psi_full(tau)>|^2`` and the larger phase error per
+    Returns ``|<psi_eff(tau)|psi_full(tau)>|^2`` and the larger phase error's flag per
     requested duration; the gap measures how far the operating point is from the Zeno limit.
     """
     seed = model.seed().vec
@@ -190,5 +190,6 @@ def compare_full_vs_effective(model: BranchModel, taus) -> list[ComparisonRow]:
     for tau in taus:
         t = float(tau)
         f = abs(np.vdot(eff.apply(seed, t), full.apply(seed, t))) ** 2
-        rows.append(ComparisonRow(t, float(f), max(full._phase_error(t), eff._phase_error(t))))
+        worse = max(full, eff, key=lambda p: p._phase_error(t))
+        rows.append(ComparisonRow(t, float(f), tuple(worse.flags(t))))
     return rows

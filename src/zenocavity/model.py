@@ -24,7 +24,8 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, NamedTuple
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 import numpy as np
 
@@ -81,7 +82,7 @@ class UniformParams:
     omega3: float = 0.0
 
     def __post_init__(self):
-        for name in _COUPLINGS:
+        for name in COUPLINGS:
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
@@ -102,7 +103,7 @@ class UniformParams:
 
 # the five couplings, in field order: every block is linear in them, and CLI
 # flags, config keys and result JSON name them in this order
-_COUPLINGS = tuple(f.name for f in fields(UniformParams))
+COUPLINGS = tuple(f.name for f in fields(UniformParams))
 
 
 class _Layout(NamedTuple):
@@ -110,7 +111,7 @@ class _Layout(NamedTuple):
 
     pol: str    # suffix of the sector's levels and modes
     atom: str   # the cavity-B atom
-    drive: str  # the coupling in _COUPLINGS that drives that atom
+    drive: str  # the coupling in COUPLINGS that drives that atom
 
     def level(self, name: str) -> str:  # level "f", "e" or "g" of this sector
         return f"{name}_{self.pol}"
@@ -130,8 +131,8 @@ class _Layout(NamedTuple):
 
 # the only record of which atom, levels, modes and drive belong to which
 # polarization; each cavity-B atom rests in its own sector's ground level
-_LAYOUT = {Branch.LEFT: _Layout("l", "b", "omega2"), Branch.RIGHT: _Layout("r", "c", "omega3")}
-_REST = {layout.atom: layout.level("g") for layout in _LAYOUT.values()}
+LAYOUT = {Branch.LEFT: _Layout("l", "b", "omega2"), Branch.RIGHT: _Layout("r", "c", "omega3")}
+_REST = {layout.atom: layout.level("g") for layout in LAYOUT.values()}
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +146,7 @@ def full_space(cutoff: int = 1) -> HilbertSpace:
     Atom ``a`` has the ``f, e, g`` levels of each sector in turn, each cavity-B atom
     those of its own sector; then come the modes of cavity A, cavity B and the fiber.
     """
-    levels = {layout: tuple(map(layout.level, "feg")) for layout in _LAYOUT.values()}
+    levels = {layout: tuple(map(layout.level, "feg")) for layout in LAYOUT.values()}
     return HilbertSpace([
         SubsystemSpec("a", levels=sum(levels.values(), ())),
         *(SubsystemSpec(layout.atom, levels=own) for layout, own in levels.items()),
@@ -183,7 +184,7 @@ def coupling_terms(params: UniformParams, space: HilbertSpace) -> list[CouplingT
         if coeff != 0.0:
             terms.append(CouplingTerm(part, float(coeff), tuple(factors)))
 
-    for layout in _LAYOUT.values():
+    for layout in LAYOUT.values():
         fiber = layout.mode("F")
         create = _annihilation(subs[fiber].dim).conj().T
         for atom, cavity, drive in layout.ends:
@@ -320,9 +321,9 @@ def sector_kets(space: HilbertSpace, branch: Branch) -> list[State]:
     photon in the fiber, photon in cavity B, excited cavity-B atom, cavity-B
     atom transferred to f.
     """
-    if branch not in _LAYOUT:
+    if branch not in LAYOUT:
         raise ValueError("sector_kets is defined per polarization branch")
-    layout = _LAYOUT[branch]
+    layout = LAYOUT[branch]
     f, e, g = map(layout.level, "feg")
     ground = {**_REST, "a": g}
     return [
@@ -345,9 +346,9 @@ class _Sector:
     """The parameter-independent part of one branch's model on one space."""
 
     restricted: RestrictedSpace
-    units: tuple[np.ndarray, ...]  # restricted block per coupling in _COUPLINGS, read-only
+    units: tuple[np.ndarray, ...]  # restricted block per coupling in COUPLINGS, read-only
     seed: np.ndarray  # initial state in restricted coordinates, read-only
-    positions: dict[Branch, tuple[int, ...]]  # restricted index of each chain state, per sector
+    positions: Mapping[Branch, tuple[int, ...]]  # restricted index of each chain state, read-only
 
 
 @functools.cache
@@ -364,8 +365,8 @@ def _sector(branch: Branch, space: HilbertSpace) -> _Sector:
     """
     chains = {sector: [ket.vec.nonzero()[0].item() for ket in sector_kets(space, sector)]
               for sector in branch.sectors}
-    links = [(i, j, _COUPLINGS.index(name)) for sector, chain in chains.items()
-             for i, j, name in zip(chain, chain[1:], _LAYOUT[sector].links)]
+    links = [(i, j, COUPLINGS.index(name)) for sector, chain in chains.items()
+             for i, j, name in zip(chain, chain[1:], LAYOUT[sector].links)]
     neighbours = {i: [] for chain in chains.values() for i in chain}
     for i, j, _ in links:
         neighbours[i].append(j)
@@ -374,7 +375,7 @@ def _sector(branch: Branch, space: HilbertSpace) -> _Sector:
     for i in order:  # first in, first out: the walk reads the list as it grows
         order += [j for j in sorted(neighbours[i]) if j not in order]
     local = {parent: n for n, parent in enumerate(order)}
-    units = np.zeros((len(_COUPLINGS), len(order), len(order)))
+    units = np.zeros((len(COUPLINGS), len(order), len(order)))
     for i, j, unit in links:
         units[unit, local[i], local[j]] = units[unit, local[j], local[i]] = 1.0
     restricted = RestrictedSpace(space, tuple(order))
@@ -382,17 +383,19 @@ def _sector(branch: Branch, space: HilbertSpace) -> _Sector:
     for array in (seed, units):
         array.setflags(write=False)
     positions = {sector: tuple(local[i] for i in chain) for sector, chain in chains.items()}
-    return _Sector(restricted, tuple(units), seed, positions)
+    return _Sector(restricted, tuple(units), seed, MappingProxyType(positions))
 
 
 @dataclass(frozen=True, eq=False)
 class BranchModel:
-    """One branch's sector basis plus its restricted Hamiltonian blocks."""
+    """One branch's sector, the record every module reads: basis, chain positions,
+    Hamiltonian blocks and dark states."""
 
     branch: Branch
     params: UniformParams
     space: HilbertSpace
     restricted: RestrictedSpace
+    positions: Mapping[Branch, tuple[int, ...]]  # restricted index of each sector's chain states
     total: np.ndarray
     strong: np.ndarray
     drive: np.ndarray
@@ -408,6 +411,26 @@ class BranchModel:
     def local_index(self, ket: State) -> int:
         idx = int(np.argmax(np.abs(ket.vec)))
         return self.restricted.local_index(idx)
+
+    @functools.cached_property
+    def dark(self) -> Mapping[Branch, np.ndarray]:
+        """Analytic dark columns (seed, transferred, delocalized) per sector, read-only; the
+        combined branch also keys their balanced sums (left + right)/sqrt(2)."""
+        params = self.params
+        lam_over = params.lam / (params.g * params.chi())
+        dark = {}
+        for sector, positions in self.positions.items():
+            cols = dark[sector] = np.zeros((self.dim, 3))
+            cols[positions[0], 0] = 1.0
+            cols[positions[6], 1] = 1.0
+            cols[positions[1], 2] = lam_over
+            cols[positions[3], 2] = -1.0 / params.chi()
+            cols[positions[5], 2] = lam_over
+        if self.branch == Branch.COMBINED:
+            dark[self.branch] = (dark[Branch.LEFT] + dark[Branch.RIGHT]) / math.sqrt(2)
+        for cols in dark.values():
+            cols.setflags(write=False)
+        return MappingProxyType(dark)
 
 
 def build_branch_model(
@@ -440,6 +463,7 @@ def build_branch_model(
         params=params,
         space=space,
         restricted=sector.restricted,
+        positions=sector.positions,
         total=strong + drive,
         strong=strong,
         drive=drive,

@@ -36,13 +36,11 @@ from .dynamics import (
     HALF_PI,
     PI,
     Propagator,
-    _phase_flags,
     effective_generator,
     solve_timing,
     zeno_ratio,
 )
-from .model import (_COUPLINGS, _LAYOUT, _REST, _Choice, Branch, BranchModel, UniformParams,
-                    build_branch_model)
+from .model import LAYOUT, Branch, BranchModel, UniformParams, _Choice, build_branch_model
 from .spaces import (
     HADAMARD,
     DensityOp,
@@ -55,7 +53,6 @@ from .spaces import (
     negativity,
     partial_trace,
 )
-from .zeno import _dark_columns
 
 ZERO_PROBABILITY_TOL = 1e-12
 
@@ -244,7 +241,7 @@ class ProtocolResult:
         return {
             "name": str(self.spec.protocol),
             "branch": str(self.spec.branch),
-            "params": {name: getattr(p, name) for name in _COUPLINGS},
+            "params": dict(vars(p)),
             "k": self.spec.k,
             "tau": self.tau,
             "engine": str(self.spec.engine),
@@ -267,7 +264,7 @@ def default_spec(protocol: Protocol | str, **overrides) -> ProtocolSpec:
 
 def _atoms(branch: Branch) -> tuple[str, ...]:
     """The atoms a branch's protocols end on: ``a`` plus each sector's cavity-B atom."""
-    return ("a", *(_LAYOUT[sector].atom for sector in branch.sectors))
+    return ("a", *(LAYOUT[sector].atom for sector in branch.sectors))
 
 
 def target_state(spec: ProtocolSpec, model: BranchModel) -> State:
@@ -275,8 +272,7 @@ def target_state(spec: ProtocolSpec, model: BranchModel) -> State:
     if spec.protocol in (Protocol.STATE_TRANSFER, Protocol.SWAP, Protocol.GHZ):
         # a half-pi pulse ends on the superposition D2, a pi pulse on the transfer D1
         col = 2 if _PROTOCOLS[spec.protocol].pulse == HALF_PI else 1
-        dark = _dark_columns(model, model.branch)
-        return State(model.restricted, dark[:, col].astype(complex))
+        return State(model.restricted, model.dark[model.branch][:, col].astype(complex))
     target = _atom_target(spec.protocol, spec.branch, model.space)
     return State(target.space, target.vec.copy())  # a caller may write to its copy
 
@@ -288,10 +284,11 @@ def _atom_target(protocol: Protocol, branch: Branch, space: HilbertSpace) -> Sta
     signs = (1, 0, 1) if protocol == Protocol.BELL else (1, -1, 1)
     atoms = _atoms(branch)
     atom_space = HilbertSpace([sub for sub in space.subsystems if sub.name in atoms])
-    rest = {atom: level for atom, level in _REST.items() if atom in atoms}
+    # each cavity-B atom rests in its own sector's ground level
+    rest = {LAYOUT[sector].atom: LAYOUT[sector].level("g") for sector in branch.sectors}
     terms = []
     for sector in branch.sectors:
-        layout = _LAYOUT[sector]
+        layout = LAYOUT[sector]
         e, g = layout.level("e"), layout.level("g")
         for sign, (level_a, level_b) in zip(signs, ((e, g), (g, g), (g, e))):
             if sign:
@@ -313,7 +310,7 @@ def _regime_flags(spec: ProtocolSpec) -> list[str]:
         p.g, p.lam, rel_tol=1e-12
     ):
         flags.append("equal couplings g = lam assumed by this protocol")
-    drives = [_LAYOUT[sector].drive for sector in spec.branch.sectors]
+    drives = [LAYOUT[sector].drive for sector in spec.branch.sectors]
     if spec.protocol == Protocol.SWAP and not math.isclose(
         p.omega1, getattr(p, drives[0]), rel_tol=1e-12
     ):
@@ -346,14 +343,14 @@ def run(spec: ProtocolSpec, model: BranchModel | None = None) -> ProtocolResult:
     gen = model.total if spec.engine == Engine.FULL else effective_generator(model)
     propagator = Propagator(gen)
     psi = State(model.restricted, propagator.apply(model.seed().vec, tau))
-    flags += _phase_flags(propagator._phase_error(tau))
+    flags += propagator.flags(tau)
     target = target_state(spec, model)
 
     atoms = _atoms(spec.branch)
     final: State | DensityOp = psi
     prob = neg = None
     if spec.protocol in (Protocol.THREE_DIM, Protocol.SIX_DIM):
-        modes = [_LAYOUT[sector].mode("F") for sector in spec.branch.sectors]
+        modes = [LAYOUT[sector].mode("F") for sector in spec.branch.sectors]
         final, prob = hadamard_and_reduce(psi, modes, atoms, spec.interpretation,
                                           spec.outcome, spec.convention)
     elif spec.protocol == Protocol.BELL:

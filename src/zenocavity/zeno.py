@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError  # the class scipy.linalg raises too
 
-from .model import Branch, BranchModel, UniformParams, _sector
+from .model import Branch, BranchModel, UniformParams
 from .spaces import InvalidSubsystemError, require_hermitian
 
 SPECTRAL_TOL = 1e-9
@@ -104,7 +104,7 @@ def _evr(dtype: np.dtype, n: int):
     return getattr(lapack, prefix + name), np.dtype(_PRECISION[prefix]), workspace
 
 
-def _eigh(h) -> tuple[np.ndarray, np.ndarray]:
+def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     """``scipy.linalg.eigh(h)`` of one matrix, minus its per-call set-up.
 
     The same driver (``syevr``/``heevr``, lower triangle, vectors on) with the
@@ -157,7 +157,7 @@ def decompose(h_c: np.ndarray, cluster_width: float | None = None) -> ZenoDecomp
     if h_c.size == 0:
         raise ValueError(f"H_C must be a nonempty matrix, got shape {h_c.shape}")
     require_hermitian(h_c, what="H_C")
-    evals, evecs = _eigh(h_c)
+    evals, evecs = eigh(h_c)
     radius = float(np.max(np.abs(evals)))
     if cluster_width is None:
         cluster_width = DEFAULT_CLUSTER_FRACTION * radius
@@ -232,44 +232,28 @@ class DarkBrightBasis:
     bright_eigenvalues: tuple[float, ...]
 
 
-def _sector_positions(model: BranchModel, sector: Branch) -> tuple[int, ...]:
+def _positions(model: BranchModel, sector: Branch) -> tuple[int, ...]:
     """Restricted indices of ``sector``'s seven chain states, in chain order."""
-    try:
-        return _sector(model.branch, model.space).positions[sector]
-    except KeyError:
-        raise InvalidSubsystemError(
-            f"the {sector} chain is not in the {model.branch} sector") from None
-
-
-def _dark_columns(model: BranchModel, branch: Branch) -> np.ndarray:
-    """Analytic dark columns of ``branch`` in the model's restricted coordinates.
-
-    For the combined branch these are the balanced sums (left + right)/sqrt(2).
-    """
-    params = model.params
-    lam_over = params.lam / (params.g * params.chi())
-    cols = np.zeros((model.dim, 3))
-    for sector in branch.sectors:
-        positions = _sector_positions(model, sector)
-        cols[positions[0], 0] = 1.0
-        cols[positions[6], 1] = 1.0
-        cols[positions[1], 2] = lam_over
-        cols[positions[3], 2] = -1.0 / params.chi()
-        cols[positions[5], 2] = lam_over
-    return cols / math.sqrt(len(branch.sectors))
+    if sector not in model.positions:
+        raise InvalidSubsystemError(f"the {sector} chain is not in the {model.branch} sector")
+    return model.positions[sector]
 
 
 def _numeric_bright_block(block: np.ndarray, targets: tuple[float, ...]) -> np.ndarray:
-    """Eigenvectors of ``block`` at the eigenvalues ``targets``, one column each."""
-    evals, evecs = _eigh(block)
+    """Eigenvectors of ``block`` at the eigenvalues ``targets``, one distinct column each."""
+    evals, evecs = eigh(block)
     scale = max(abs(v) for v in targets)
-    cols = []
+    cols, seen = [], {}
     for t in targets:
         i = int(np.argmin(np.abs(evals - t)))
         if abs(evals[i] - t) > SPECTRAL_TOL * max(1.0, scale):
             raise DegenerateStructureError(
                 f"no isolated eigenvalue near {t:.6g}; spectrum is {evals}"
             )
+        if i in seen:  # e.g. g and g*chi once chi rounds to 1
+            raise DegenerateStructureError(
+                f"bright energies {seen[i]:.6g} and {t:.6g} name the same eigenvector")
+        seen[i] = t
         v = evecs[:, i]
         pivot = int(np.argmax(np.abs(v)))
         phase = v[pivot] / abs(v[pivot])
@@ -281,7 +265,8 @@ def sector_dark_columns(model: BranchModel, sector: Branch) -> np.ndarray:
     """Analytic dark columns of one sector, embedded in restricted coordinates."""
     if sector == Branch.COMBINED:
         raise ValueError("pick one sector; the combined basis lives in analytic_dark_bright")
-    return _dark_columns(model, sector)
+    _positions(model, sector)  # a sector outside the model is an invalid subsystem
+    return model.dark[sector].copy()
 
 
 def analytic_dark_bright(model: BranchModel) -> DarkBrightBasis:
@@ -290,14 +275,11 @@ def analytic_dark_bright(model: BranchModel) -> DarkBrightBasis:
     if params.g <= 0 or params.lam <= 0:
         raise DegenerateStructureError("dark/bright structure needs g > 0 and lam > 0")
     energies = _bright_energies(params)
-    dark = _dark_columns(model, model.branch)
     bright = np.zeros((model.dim, 4))
-    sectors = model.branch.sectors
-    for sector in sectors:
-        pos = _sector_positions(model, sector)
+    for pos in model.positions.values():
         block = _numeric_bright_block(model.strong[np.ix_(pos, pos)], energies)
-        bright[pos, :] = block / math.sqrt(len(sectors))
-    return DarkBrightBasis(dark=dark, bright=bright, bright_eigenvalues=energies)
+        bright[pos, :] = block / math.sqrt(len(model.positions))
+    return DarkBrightBasis(model.dark[model.branch].copy(), bright, energies)
 
 
 def printed_bright_forms(params: UniformParams) -> np.ndarray:
@@ -328,7 +310,7 @@ def bright_comparison(model: BranchModel, sector: Branch) -> list[tuple[float, f
     """
     if sector == Branch.COMBINED:
         raise ValueError("bright comparison is defined per sector")
-    pos = _sector_positions(model, sector)
+    pos = _positions(model, sector)
     energies = _bright_energies(model.params)
     numeric = _numeric_bright_block(model.strong[np.ix_(pos, pos)], energies)
     printed = printed_bright_forms(model.params)[1:6, :]  # chain interior only

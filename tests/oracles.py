@@ -114,19 +114,64 @@ _FIBER_KRAUS = {
 }
 
 
+# The targets as the paper writes them, from literal level names. Per sector: its level
+# suffix, its cavity-B atom, and the other cavity-B atom with the level it rests in.
+_SECTOR_LEVELS = {zc.Branch.LEFT: ("l", "b", {"c": "g_r"}),
+                  zc.Branch.RIGHT: ("r", "c", {"b": "g_l"})}
+
+
+def _ket(space: zc.HilbertSpace, sector: zc.Branch, **levels) -> zc.State:
+    """A ket of ``space`` in one sector: atoms not named rest in ``g``, modes are empty."""
+    pol, atom, other = _SECTOR_LEVELS[sector]
+    names = {sub.name for sub in space.subsystems}
+    assigned = {"a": f"g_{pol}", atom: f"g_{pol}", **other, **levels}
+    return space.ket(**{name: value for name, value in assigned.items() if name in names})
+
+
+def paper_target(spec: zc.ProtocolSpec, space: zc.HilbertSpace) -> zc.State:
+    """The state ``spec``'s protocol aims at, on ``space``: the full register for
+    ``state_transfer``, ``swap`` and ``ghz``, the register's atoms for the others.
+
+    Per sector, before the sectors are summed with equal weight and normalized:
+
+    - D1, the transferred state (``swap``, and ``ghz`` over both sectors): atom
+      ``a`` in ``g`` and the cavity-B atom in ``f``;
+    - D2, the delocalized dark state (``state_transfer``): the null vector
+      ``lam (|e>_a + |e>_B) - g |1>_F`` of the strong couplings;
+    - Bell: ``|e g> + |g e>`` on ``a`` and the cavity-B atom;
+    - threedim: ``|e g> - |g g> + |g e>`` (and ``sixdim`` over both sectors).
+    """
+    p, protocol = spec.params, spec.protocol
+    kets = []
+    for sector in spec.branch.sectors:
+        pol, atom, _ = _SECTOR_LEVELS[sector]
+        e, f = f"e_{pol}", f"f_{pol}"
+        if protocol in (zc.Protocol.SWAP, zc.Protocol.GHZ):
+            kets.append(_ket(space, sector, **{atom: f}))
+        elif protocol == zc.Protocol.STATE_TRANSFER:
+            emitted = _ket(space, sector, a=e) + _ket(space, sector, **{atom: e})
+            kets.append(emitted * p.lam + _ket(space, sector, **{f"F_{pol}": 1}) * -p.g)
+        else:
+            kets += [_ket(space, sector, a=e), _ket(space, sector, **{atom: e})]
+            if protocol != zc.Protocol.BELL:
+                kets.append(_ket(space, sector) * -1.0)
+    target = sum(kets[1:], start=kets[0])
+    return target * (1.0 / target.norm())
+
+
 def _on_axis(op: np.ndarray, tensor: np.ndarray, axis: int) -> np.ndarray:
     """``op`` applied along one axis of the ket tensor."""
     return np.moveaxis(np.tensordot(op, tensor, axes=([1], [axis])), 0, axis)
 
 
-def full_space_protocol(spec: zc.ProtocolSpec, tau: float, target: zc.State) -> tuple:
+def full_space_protocol(spec: zc.ProtocolSpec, tau: float) -> tuple:
     """``(fidelity, negativity, success_probability)`` of ``spec`` on the full-engine path,
     run in the whole 3456-dimensional space without restriction, embedding or cached maps.
 
     The pulse is ``expm_multiply`` of the full Hamiltonian on the seed; the gates and
     projectors act by ``np.tensordot`` on the nine-axis ket tensor; the atoms are kept
-    by transposing them to the front. ``target`` is the run's own target, lifted to the
-    full space when it is a sector ket. Entries a protocol does not report are None.
+    by transposing them to the front. Each score is against :func:`paper_target`.
+    Entries a protocol does not report are None.
     """
     space = zc.full_space(1)
     h = zc.build_hamiltonian(spec.params, space).total
@@ -144,8 +189,9 @@ def full_space_protocol(spec: zc.ProtocolSpec, tau: float, target: zc.State) -> 
 
     protocol = spec.protocol
     if protocol in (zc.Protocol.STATE_TRANSFER, zc.Protocol.SWAP, zc.Protocol.GHZ):
-        f = abs(np.vdot(zc.embed(target).vec, psi)) ** 2
+        f = abs(np.vdot(paper_target(spec, space).vec, psi)) ** 2
         return f, atom_negativity(reduce(psi)) if protocol == zc.Protocol.GHZ else None, None
+    target = paper_target(spec, atom_space)
     if protocol == zc.Protocol.BELL:
         rho = reduce(psi)
         return float(np.real(np.vdot(target.vec, rho @ target.vec))), atom_negativity(rho), None

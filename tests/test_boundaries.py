@@ -1,0 +1,55 @@
+"""The package's module boundaries: no module reaches into another's private names."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "zenocavity").glob("*.py"))
+
+# (importing module, imported module, name) -> why that private name still crosses
+ALLOWED = {
+    ("protocols", "model", "_Choice"):
+        "the str-valued enum base of Branch and the protocol choices; enum.StrEnum"
+        " would replace it but needs Python 3.11, and requires-python is >=3.10",
+}
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_modules_are_found():
+    assert {path.stem for path in MODULES} >= {"cli", "dynamics", "model", "protocols",
+                                               "spaces", "zeno"}
+
+
+def test_private_names_cross_modules_only_where_allowed():
+    crossing = {(path.stem, node.module, alias.name)
+                for path in MODULES for node in ast.walk(_tree(path))
+                if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names if _private(alias.name)}
+    assert crossing == set(ALLOWED), "a private name crosses modules; make it public or allow it"
+    assert all(ALLOWED.values())
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_no_module_reads_a_private_attribute_it_does_not_define(path):
+    # e.g. protocols calling propagator._phase_error, a method that dynamics defines
+    tree = _tree(path)
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+    foreign = sorted(f"line {node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and _private(node.attr)
+                     and node.attr not in defined)
+    assert foreign == []

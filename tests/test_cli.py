@@ -102,6 +102,14 @@ def test_ambiguous_clustering_is_a_numeric_failure(capsys):
     assert "numeric failure" in err
 
 
+def test_bright_energies_that_coincide_are_a_numeric_failure(capsys):
+    # chi rounds to 1 at lam/g = 1e-8: the report would list E=1 and E=-1 twice
+    code, out, err = invoke(["darkstates", "--lam", "1e-8"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("numeric failure:") and "same eigenvector" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["protocol", "--name", "bell", "--g", "1e-300"],  # g**2 underflows to 0
     ["protocol", "--name", "ghz", "--g", "1e300"],  # g**2 overflows
@@ -692,6 +700,27 @@ def test_main_loads_scipys_blas_single_threaded_unless_a_variable_is_set(threads
         assert gained > 0
     else:
         assert gained == 0
+
+
+# the first eigensolver call loads scipy's LAPACK, under the command's pin; spectrum
+# needs only numpy's eigvalsh and loads nothing
+_LAPACK_LOADS_ON_FIRST_USE = r"""
+import contextlib, io, os
+from zenocavity import zeno
+from zenocavity.cli import main
+
+before = dict(os.environ)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["spectrum", "--branch", "combined"]) == 0
+    assert zeno._flapack.cache_info().currsize == 0, "spectrum loaded LAPACK"
+    assert main(["compare"]) == 0
+    assert zeno._flapack.cache_info().currsize == 1
+assert dict(os.environ) == before
+"""
+
+
+def test_scipys_lapack_loads_only_when_a_command_first_needs_it():
+    _fresh_process(_LAPACK_LOADS_ON_FIRST_USE)
 
 
 @pytest.mark.parametrize("threads", [{}, {"OPENBLAS_NUM_THREADS": "2"}],

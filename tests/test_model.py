@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import oracles
 import zenocavity as zc
 import zenocavity.model as model_mod
-import zenocavity.zeno as zeno_mod
 from oracles import chain_hamiltonian, excitation_number, number_commutator_maxabs
 from zenocavity.model import coupling_terms, full_space, restrict
 
@@ -208,11 +207,17 @@ def test_closure_cap_and_seed_validation(space1):
         zc.reachable_subspace(parts.total, zc.State(space1, np.zeros(space1.dim)))
 
 
+def _ket_positions(model, sector):
+    """Restricted index of each of ``sector``'s chain kets, found ket by ket."""
+    return tuple(model.restricted.local_index(int(np.argmax(np.abs(ket.vec))))
+                 for ket in zc.sector_kets(model.space, sector))
+
+
 def test_combined_model_is_two_decoupled_chains(combined_model):
     m = combined_model
     assert m.dim == 14
-    left = [m.local_index(k) for k in zc.sector_kets(m.space, zc.Branch.LEFT)]
-    right = [m.local_index(k) for k in zc.sector_kets(m.space, zc.Branch.RIGHT)]
+    left, right = (m.positions[sector] for sector in (zc.Branch.LEFT, zc.Branch.RIGHT))
+    assert (left, right) == (_ket_positions(m, zc.Branch.LEFT), _ket_positions(m, zc.Branch.RIGHT))
     assert sorted(left + right) == list(range(14))
     assert np.max(np.abs(m.total[np.ix_(left, right)])) < ATOL
     p = m.params
@@ -225,10 +230,10 @@ def test_combined_model_is_two_decoupled_chains(combined_model):
 def test_combined_seed_is_balanced(combined_model):
     seed = combined_model.seed()
     assert abs(seed.norm() - 1.0) < ATOL
-    head_l = combined_model.local_index(
-        zc.sector_kets(combined_model.space, zc.Branch.LEFT)[0])
-    head_r = combined_model.local_index(
-        zc.sector_kets(combined_model.space, zc.Branch.RIGHT)[0])
+    head_l, head_r = (_ket_positions(combined_model, sector)[0]
+                      for sector in (zc.Branch.LEFT, zc.Branch.RIGHT))
+    assert (head_l, head_r) == (combined_model.positions[zc.Branch.LEFT][0],
+                                combined_model.positions[zc.Branch.RIGHT][0])
     assert abs(abs(seed.vec[head_l]) ** 2 - 0.5) < ATOL
     assert abs(abs(seed.vec[head_r]) ** 2 - 0.5) < ATOL
 
@@ -281,8 +286,9 @@ def _assert_matches_oracle(params, branch, space):
         assert getattr(model, name).tobytes() == block.tobytes(), name
     seed = restricted.project(zc.initial_state(space, branch).vec)
     assert model.seed().vec.tobytes() == seed.tobytes()
+    assert list(model.positions) == list(branch.sectors)
     for sector in branch.sectors:
-        assert zeno_mod._sector_positions(model, sector) == tuple(
+        assert model.positions[sector] == tuple(
             restricted.local_index(int(np.argmax(np.abs(ket.vec))))
             for ket in zc.sector_kets(space, sector))
 
@@ -336,6 +342,11 @@ def test_callers_cannot_corrupt_the_cached_sector(space1):
     first = zc.build_branch_model(PARAMS, zc.Branch.COMBINED, space=space1)
     for array in (first.total, first.strong, first.drive, first.seed().vec):
         array[...] = 7.0
+    with pytest.raises(TypeError):
+        first.positions[zc.Branch.LEFT] = (0,) * 7
+    for cols in first.dark.values():
+        with pytest.raises(ValueError, match="read-only"):
+            cols[...] = 7.0
     _assert_matches_oracle(PARAMS, zc.Branch.COMBINED, space1)
     again = zc.build_branch_model(PARAMS, zc.Branch.COMBINED, space=space1)
     assert abs(again.seed().norm() - 1.0) < ATOL
@@ -351,4 +362,5 @@ def test_tiny_couplings_keep_the_whole_chain(space1, g, lam):
         pols = (zc.Branch.LEFT, zc.Branch.RIGHT) if combined else (branch,)
         kets = [k for pol in pols for k in zc.sector_kets(space1, pol)]
         assert model.dim == len(kets)
-        assert sorted(model.local_index(k) for k in kets) == list(range(model.dim))
+        assert {sector: _ket_positions(model, sector) for sector in pols} == model.positions
+        assert sorted(i for pos in model.positions.values() for i in pos) == list(range(model.dim))

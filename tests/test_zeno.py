@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import zenocavity as zc
 from oracles import chain_hamiltonian, cluster_sum, dark_projector_residual, limiting_generator
-from zenocavity.zeno import DEFAULT_CLUSTER_FRACTION, _eigh, _evr, _numeric_bright_block
+from zenocavity.zeno import DEFAULT_CLUSTER_FRACTION, _evr, _numeric_bright_block, eigh
 
 ATOL = 1e-12
 
@@ -115,15 +115,15 @@ def test_eigh_is_scipy_eigh_byte_for_byte(n, seed, hermitian):
     if hermitian:
         a = a + 1j * rng.normal(size=(n, n))
     h = a + a.conj().T
-    _same_arrays(sla.eigh(h), _eigh(h))
-    _same_arrays(sla.eigh(np.asfortranarray(h)), _eigh(np.asfortranarray(h)))
+    _same_arrays(sla.eigh(h), eigh(h))
+    _same_arrays(sla.eigh(np.asfortranarray(h)), eigh(np.asfortranarray(h)))
 
 
 @pytest.mark.parametrize("dtype", [float, complex, np.float32, np.complex64, int])
 def test_eigh_matches_scipy_eigh_on_every_dtype(dtype):
     h = np.array([[2, 1, 0], [1, 3, 1], [0, 1, 4]], dtype=dtype)
-    _same_arrays(sla.eigh(h), _eigh(h))
-    _same_arrays(sla.eigh(h[:0, :0]), _eigh(h[:0, :0]))  # an empty matrix is no error
+    _same_arrays(sla.eigh(h), eigh(h))
+    _same_arrays(sla.eigh(h[:0, :0]), eigh(h[:0, :0]))  # an empty matrix is no error
 
 
 @pytest.mark.parametrize("bad", [
@@ -137,7 +137,7 @@ def test_eigh_raises_what_scipy_eigh_raises(bad):
     with pytest.raises(Exception) as want:
         sla.eigh(bad)
     with pytest.raises(type(want.value), match=re.escape(str(want.value))):
-        _eigh(bad)
+        eigh(bad)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64, np.complex128, np.int64])
@@ -149,14 +149,14 @@ def test_evr_workspace_is_what_scipy_computes(dtype):
         assert tuple(_evr(np.dtype(dtype), n)[2].values()) == want
 
 
-# The suite imports scipy.linalg, so in this process _eigh runs on scipy's own
+# The suite imports scipy.linalg, so in this process eigh runs on scipy's own
 # copy of the LAPACK extension. A fresh process runs the other load path.
 _FRESH_PROCESS = r"""
 import contextlib, io, sys
 import numpy as np
 import test_golden as golden
 from zenocavity.cli import main
-from zenocavity.zeno import _eigh
+from zenocavity.zeno import eigh
 
 def check(what):
     for name in ("scipy.linalg", "scipy.sparse"):
@@ -181,7 +181,7 @@ rng = np.random.default_rng(0)
 for dtype in (np.float32, float, np.complex64, complex):
     a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     h = (a + a.conj().T).astype(dtype)
-    for want, got in zip(scipy.linalg.eigh(h), _eigh(h)):
+    for want, got in zip(scipy.linalg.eigh(h), eigh(h)):
         assert (want.dtype, want.tobytes()) == (got.dtype, got.tobytes()), dtype
 """
 
@@ -340,6 +340,37 @@ def test_printed_bright_forms_partially_wrong(left_model):
 def test_degenerate_structure_errors():
     with pytest.raises(zc.DegenerateStructureError):
         zc.printed_bright_forms(zc.UniformParams(g=0.0, lam=1.0))
+
+
+def test_bright_energies_that_coincide_in_float_are_a_degenerate_structure():
+    # at lam/g = 1e-8, chi = sqrt(1 + 2e-16) rounds to 1, so +-g and +-g*chi name
+    # the same two eigenvectors; four bright columns would repeat two of them
+    model = zc.build_branch_model(zc.UniformParams(g=1.0, lam=1e-8), zc.Branch.LEFT)
+    with pytest.raises(zc.DegenerateStructureError, match="same eigenvector"):
+        zc.analytic_dark_bright(model)
+    with pytest.raises(zc.DegenerateStructureError, match="same eigenvector"):
+        zc.bright_comparison(model, zc.Branch.LEFT)
+
+
+@settings(max_examples=200)
+@example(log_g=0.0, log_lam=-8.0, branch=zc.Branch.LEFT)
+@example(log_g=2.0, log_lam=-6.5, branch=zc.Branch.COMBINED)
+@given(log_g=st.floats(-8.0, 8.0), log_lam=st.floats(-8.0, 8.0),
+       branch=st.sampled_from(list(zc.Branch)))
+def test_bright_columns_are_orthonormal_wherever_they_are_returned(log_g, log_lam, branch):
+    model = zc.build_branch_model(zc.UniformParams(g=10**log_g, lam=10**log_lam), branch)
+    try:
+        bright = zc.analytic_dark_bright(model).bright
+    except zc.DegenerateStructureError:
+        return
+    assert np.max(np.abs(bright.T @ bright - np.eye(4))) <= 1e-12
+
+
+def test_a_sector_outside_the_model_is_an_invalid_subsystem(left_model):
+    with pytest.raises(zc.InvalidSubsystemError, match="right chain is not in the left"):
+        zc.sector_dark_columns(left_model, zc.Branch.RIGHT)
+    with pytest.raises(zc.InvalidSubsystemError, match="right chain is not in the left"):
+        zc.bright_comparison(left_model, zc.Branch.RIGHT)
 
 
 def test_principal_angles_against_constructed_case():
