@@ -62,7 +62,6 @@ from .zeno import (
     ClusterAmbiguityError,
     DegenerateStructureError,
     analytic_dark_bright,
-    bright_comparison,
     decompose,
     predicted_strong_spectrum,
     principal_angles,
@@ -316,7 +315,7 @@ def _cmd_darkstates(args, model) -> int:
         rows.append(("principal_angle", f"angle{j}", _fmt(angle)))
 
     for sector in model.branch.sectors:
-        for energy, overlap in bright_comparison(model, sector):
+        for energy, overlap in zip(basis.bright_eigenvalues, basis.printed_overlaps[sector]):
             label = f"{sector.value}:E={_fmt(energy)}"
             rows.append(("bright_overlap", label, _fmt(overlap)))
 

@@ -22,6 +22,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 from numpy.linalg import LinAlgError  # the class scipy.linalg raises too
@@ -40,7 +42,8 @@ class ClusterAmbiguityError(ValueError):
 
 
 class DegenerateStructureError(ValueError):
-    """Analytic dark/bright structure needs g > 0 and lam > 0."""
+    """No analytic dark/bright structure: g or lam is not > 0, or two bright
+    energies name one eigenvector, being closer than the eigensolver resolves."""
 
 
 # workspace arguments of each driver, in the order its size query returns them
@@ -225,18 +228,15 @@ class DarkBrightBasis:
     numeric eigenvectors of the strong restricted Hamiltonian, ordered by the
     eigenvalues in ``bright_eigenvalues`` (+g, -g, +g*chi, -g*chi; the
     combined branch carries the balanced two-sector combinations).
+    ``printed_overlaps[sector]`` holds, in the same order, each
+    ``|<printed form|numeric eigenvector>|^2`` over the sector's chain interior
+    (:func:`printed_bright_forms`): the first two are 1, the last two are not.
     """
 
     dark: np.ndarray
     bright: np.ndarray
     bright_eigenvalues: tuple[float, ...]
-
-
-def _positions(model: BranchModel, sector: Branch) -> tuple[int, ...]:
-    """Restricted indices of ``sector``'s seven chain states, in chain order."""
-    if sector not in model.positions:
-        raise InvalidSubsystemError(f"the {sector} chain is not in the {model.branch} sector")
-    return model.positions[sector]
+    printed_overlaps: Mapping[Branch, tuple[float, ...]]
 
 
 def _numeric_bright_block(block: np.ndarray, targets: tuple[float, ...]) -> np.ndarray:
@@ -265,7 +265,8 @@ def sector_dark_columns(model: BranchModel, sector: Branch) -> np.ndarray:
     """Analytic dark columns of one sector, embedded in restricted coordinates."""
     if sector == Branch.COMBINED:
         raise ValueError("pick one sector; the combined basis lives in analytic_dark_bright")
-    _positions(model, sector)  # a sector outside the model is an invalid subsystem
+    if sector not in model.positions:
+        raise InvalidSubsystemError(f"the {sector} chain is not in the {model.branch} sector")
     return model.dark[sector].copy()
 
 
@@ -275,11 +276,16 @@ def analytic_dark_bright(model: BranchModel) -> DarkBrightBasis:
     if params.g <= 0 or params.lam <= 0:
         raise DegenerateStructureError("dark/bright structure needs g > 0 and lam > 0")
     energies = _bright_energies(params)
+    printed = printed_bright_forms(params)[1:6, :]  # chain interior only
     bright = np.zeros((model.dim, 4))
-    for pos in model.positions.values():
+    overlaps = {}
+    for sector, pos in model.positions.items():
         block = _numeric_bright_block(model.strong[np.ix_(pos, pos)], energies)
         bright[pos, :] = block / math.sqrt(len(model.positions))
-    return DarkBrightBasis(model.dark[model.branch].copy(), bright, energies)
+        overlaps[sector] = tuple(float(abs(np.vdot(printed[:, i], block[1:6, i])) ** 2)
+                                 for i in range(len(energies)))
+    return DarkBrightBasis(model.dark[model.branch].copy(), bright, energies,
+                           MappingProxyType(overlaps))
 
 
 def printed_bright_forms(params: UniformParams) -> np.ndarray:
@@ -300,25 +306,6 @@ def printed_bright_forms(params: UniformParams) -> np.ndarray:
     cols[[1, 2, 3, 4, 5], 2] = [1.0, chi, ratio, -chi, 1.0]
     cols[[1, 2, 3, 4, 5], 3] = [1.0, -chi, ratio, -chi, 1.0]
     return cols / np.linalg.norm(cols, axis=0)
-
-
-def bright_comparison(model: BranchModel, sector: Branch) -> list[tuple[float, float]]:
-    """Per bright state: (eigenvalue, |<printed form|numeric eigenvector>|^2).
-
-    Quantifies how far the literal closed forms are from the true
-    eigenvectors; the first two overlaps are 1, the last two are not.
-    """
-    if sector == Branch.COMBINED:
-        raise ValueError("bright comparison is defined per sector")
-    pos = _positions(model, sector)
-    energies = _bright_energies(model.params)
-    numeric = _numeric_bright_block(model.strong[np.ix_(pos, pos)], energies)
-    printed = printed_bright_forms(model.params)[1:6, :]  # chain interior only
-    out = []
-    for i, e in enumerate(energies):
-        ov = abs(np.vdot(printed[:, i], numeric[1:6, i])) ** 2
-        out.append((float(e), float(ov)))
-    return out
 
 
 def principal_angles(basis: np.ndarray, projector: np.ndarray) -> np.ndarray:

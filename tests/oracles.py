@@ -7,6 +7,8 @@ import functools
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import expm
+from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import expm_multiply
 
 import zenocavity as zc
@@ -210,3 +212,32 @@ def full_space_protocol(spec: zc.ProtocolSpec, tau: float) -> tuple:
         p = float(np.real(np.trace(rho)))
         rho = rho / p if p else rho  # an outcome that cannot occur keeps its zero state
     return float(np.real(np.vdot(target.vec, rho @ target.vec))), atom_negativity(rho), p
+
+
+def pulse_time(params: zc.UniformParams, sector: zc.Branch, end: int, arrival: int) -> float:
+    """The time of the ``arrival``-th peak of the weight on dark state ``end`` (1 for D1,
+    2 for D2) as D0 evolves under ``exp(-i M t)``, ``M`` the sector's 3x3 effective matrix.
+
+    A forward scan on a grid finds the peak; a bounded scalar minimization then puts it
+    where the weight's time derivative vanishes. The derivative, unlike the weight, is not
+    flat to float precision at the peak, so the time comes out near float precision.
+    """
+    m = zc.effective_matrix(params, sector)
+    # a weight oscillates no faster than 2 ||M||: 128 samples per half period of that
+    dt = np.pi / (128 * np.linalg.norm(m, 2))
+
+    def slope_squared(t):
+        psi = expm(-1j * t * m)[:, 0]
+        return (2 * np.imag(np.conj(psi[end]) * (m @ psi)[end])) ** 2
+
+    step, psi = expm(-1j * dt * m), np.array([1.0, 0.0, 0.0], dtype=complex)
+    weights, peaks = [0.0], 0
+    while peaks < arrival:
+        psi = step @ psi
+        weights.append(abs(psi[end]) ** 2)
+        if len(weights) >= 3 and weights[-3] < weights[-2] >= weights[-1]:
+            peaks += 1
+    t = (len(weights) - 2) * dt
+    found = minimize_scalar(lambda s: slope_squared(t + s), bounds=(-dt, dt),
+                            method="bounded", options={"xatol": 1e-14 * dt})
+    return t + found.x

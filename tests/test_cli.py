@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zenocavity import cli
+from zenocavity import cli, zeno
 from zenocavity.cli import _AXIS_NAMES, _parse_grid, main
+from zenocavity.model import Branch
 from zenocavity.protocols import Engine, Protocol
 
 
@@ -93,6 +94,21 @@ def test_darkstates_combined_covers_both_sectors(capsys):
     assert len(labels) == 8
     assert sum(l.startswith("left:") for l in labels) == 4
     assert sum(l.startswith("right:") for l in labels) == 4
+
+
+@pytest.mark.parametrize("branch", ["left", "right", "combined"])
+def test_darkstates_decomposes_each_sector_once(capsys, monkeypatch, branch):
+    # one eigh per sector's bright block, one more for the zero-eigenvalue projector
+    calls = []
+
+    def counting(h):
+        calls.append(h)
+        return eigh(h)
+
+    eigh = zeno.eigh
+    monkeypatch.setattr(zeno, "eigh", counting)
+    assert invoke(["darkstates", "--branch", branch], capsys)[0] == 0
+    assert len(calls) == 1 + len(Branch(branch).sectors)
 
 
 def test_ambiguous_clustering_is_a_numeric_failure(capsys):

@@ -599,6 +599,29 @@ def test_run_scores_against_the_paper_target(protocol, branch, engine, conventio
     assert abs(res.fidelity - _paper_fidelity(res)) <= 1e-10
 
 
+# Every protocol and branch, at random couplings and drives: run()'s pulse time is the
+# arrival-th time the dark-block evolution peaks on the pulse's end state, D2 for a half-pi
+# pulse and D1 for a pi pulse. A pi pulse reaches D1 at odd k only: arrival n is k = 2n - 1.
+@settings(max_examples=60)
+@example(protocol=Protocol.SWAP, branch=1, arrival=2, g=1.0, lam=1.0, drive=0.01, ratio=1.0)
+@example(protocol=Protocol.SIX_DIM, branch=0, arrival=3, g=1.0, lam=1.0, drive=0.01, ratio=1.0)
+@given(protocol=st.sampled_from(list(Protocol)), branch=st.integers(0, 2),
+       arrival=st.integers(1, 3), g=st.floats(0.2, 5.0), lam=st.floats(0.2, 5.0),
+       drive=st.floats(1e-3, 0.3), ratio=st.floats(0.3, 3.0))
+def test_run_pulse_time_matches_the_evolution_oracle(protocol, branch, arrival, g, lam, drive,
+                                                     ratio):
+    pi_pulse = _PROTOCOLS[protocol].pulse == zc.PI
+    second = drive * ratio if pi_pulse else 0.0  # swap and ghz need the cavity-B drive
+    branches = _PROTOCOLS[protocol].branches
+    spec = ProtocolSpec(protocol, branches[branch % len(branches)],
+                        zc.UniformParams(g, lam, drive, second, second),
+                        k=2 * arrival - 1 if pi_pulse else arrival, engine=Engine.EFFECTIVE)
+    tau = run(spec).tau
+    for sector in spec.branch.sectors:  # the combined branch runs both sectors on one clock
+        want = oracles.pulse_time(spec.params, sector, 1 if pi_pulse else 2, arrival)
+        assert abs(tau - want) <= 1e-9 * want
+
+
 def test_default_params_table():
     assert default_spec("bell").params == zc.UniformParams(g=0.1, lam=1.0, omega1=0.001)
     assert default_spec("swap").params.omega2 == 0.01

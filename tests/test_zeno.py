@@ -317,6 +317,14 @@ def test_combined_dark_basis_is_symmetrized(combined_model):
     assert np.max(np.abs(combined_model.strong @ basis.dark)) < 1e-10
 
 
+def test_combined_basis_carries_each_sectors_printed_overlaps(combined_model):
+    # each from its own sector's unscaled bright block, not the balanced combination
+    overlaps = zc.analytic_dark_bright(combined_model).printed_overlaps
+    assert list(overlaps) == [zc.Branch.LEFT, zc.Branch.RIGHT]
+    assert overlaps[zc.Branch.LEFT] == overlaps[zc.Branch.RIGHT]
+    assert overlaps[zc.Branch.LEFT][:2] == pytest.approx((1.0, 1.0), abs=1e-10)
+
+
 def test_printed_bright_forms_partially_wrong(left_model):
     forms = zc.printed_bright_forms(PARAMS)
     assert np.allclose(np.linalg.norm(forms, axis=0), 1.0, atol=ATOL)
@@ -325,16 +333,18 @@ def test_printed_bright_forms_partially_wrong(left_model):
         r = left_model.strong @ forms[:, col] - e * forms[:, col]
         assert np.max(np.abs(r)) < 1e-10
     # ... the +/- g*chi forms are not, with reproducible overlaps at lam/g = 2
+    basis = zc.analytic_dark_bright(left_model)
+    assert list(basis.printed_overlaps) == [zc.Branch.LEFT]
     overlaps = dict()
-    for e, ov in zc.bright_comparison(left_model, zc.Branch.LEFT):
+    for e, ov in zip(basis.bright_eigenvalues, basis.printed_overlaps[zc.Branch.LEFT]):
         overlaps[round(e, 9)] = ov
     chi = PARAMS.chi()
     assert abs(overlaps[round(PARAMS.g, 9)] - 1.0) < 1e-10
     assert abs(overlaps[round(-PARAMS.g, 9)] - 1.0) < 1e-10
     assert abs(overlaps[round(PARAMS.g * chi, 9)] - 25.0 / 216.0) < 1e-10
     assert abs(overlaps[round(-PARAMS.g * chi, 9)] - 49.0 / 54.0) < 1e-10
-    with pytest.raises(ValueError):
-        zc.bright_comparison(left_model, zc.Branch.COMBINED)
+    with pytest.raises(TypeError):  # read-only, like model.dark
+        basis.printed_overlaps[zc.Branch.RIGHT] = ()
 
 
 def test_degenerate_structure_errors():
@@ -348,8 +358,6 @@ def test_bright_energies_that_coincide_in_float_are_a_degenerate_structure():
     model = zc.build_branch_model(zc.UniformParams(g=1.0, lam=1e-8), zc.Branch.LEFT)
     with pytest.raises(zc.DegenerateStructureError, match="same eigenvector"):
         zc.analytic_dark_bright(model)
-    with pytest.raises(zc.DegenerateStructureError, match="same eigenvector"):
-        zc.bright_comparison(model, zc.Branch.LEFT)
 
 
 @settings(max_examples=200)
@@ -369,8 +377,6 @@ def test_bright_columns_are_orthonormal_wherever_they_are_returned(log_g, log_la
 def test_a_sector_outside_the_model_is_an_invalid_subsystem(left_model):
     with pytest.raises(zc.InvalidSubsystemError, match="right chain is not in the left"):
         zc.sector_dark_columns(left_model, zc.Branch.RIGHT)
-    with pytest.raises(zc.InvalidSubsystemError, match="right chain is not in the left"):
-        zc.bright_comparison(left_model, zc.Branch.RIGHT)
 
 
 def test_principal_angles_against_constructed_case():
