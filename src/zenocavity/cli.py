@@ -310,6 +310,10 @@ def _cmd_darkstates(args, model) -> int:
         rows.append(("dark_residual", f"D{j}", _fmt(residual)))
 
     zero_projector = decompose(model.strong).projector_near(0.0)
+    rank, want = round(np.trace(zero_projector)), 3 * len(model.branch.sectors)
+    if rank != want:  # g under about 1e-6 of the spectral radius: the default width takes in +-g
+        _report_flags([("quantity", "principal_angle")],
+                      [f"the zero cluster has rank {rank}, not {want}: it merged bright states"])
     angles = principal_angles(basis.dark, zero_projector)
     for j, angle in enumerate(angles):
         rows.append(("principal_angle", f"angle{j}", _fmt(angle)))

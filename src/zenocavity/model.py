@@ -356,24 +356,19 @@ def _sector(branch: Branch, space: HilbertSpace) -> _Sector:
     """Chain basis, unit blocks, seed and chain positions, built once per (branch, space).
 
     Each polarization sector is the chain of its :func:`sector_kets`, linked by
-    the couplings of :attr:`_Layout.links`. The basis is the order in which
-    :func:`reachable_subspace` reaches those kets from the seed: chain heads by
-    parent index, then breadth first, neighbours by parent index. Each unit
-    block holds 1.0 on its coupling's links, which is the restriction of that
-    coupling's full Hamiltonian at value 1. Membership is structural, so a
-    tiny ``g`` or a switched-off drive keeps its link.
+    the couplings of :attr:`_Layout.links`. The basis interleaves the chains,
+    state by state, the chain with the lower head parent index first. That is
+    the order in which :func:`reachable_subspace` reaches those kets from the
+    seed: the heads, then breadth first along the disjoint equal-length chains.
+    Each unit block holds 1.0 on its coupling's links, which is the restriction
+    of that coupling's full Hamiltonian at value 1. Membership is structural,
+    so a tiny ``g`` or a switched-off drive keeps its link.
     """
     chains = {sector: [ket.vec.nonzero()[0].item() for ket in sector_kets(space, sector)]
               for sector in branch.sectors}
     links = [(i, j, COUPLINGS.index(name)) for sector, chain in chains.items()
              for i, j, name in zip(chain, chain[1:], LAYOUT[sector].links)]
-    neighbours = {i: [] for chain in chains.values() for i in chain}
-    for i, j, _ in links:
-        neighbours[i].append(j)
-        neighbours[j].append(i)
-    order = sorted(chain[0] for chain in chains.values())
-    for i in order:  # first in, first out: the walk reads the list as it grows
-        order += [j for j in sorted(neighbours[i]) if j not in order]
+    order = [i for states in zip(*sorted(chains.values())) for i in states]
     local = {parent: n for n, parent in enumerate(order)}
     units = np.zeros((len(COUPLINGS), len(order), len(order)))
     for i, j, unit in links:

@@ -92,10 +92,12 @@ def _constant(rows) -> np.ndarray:
 # Hadamard's sign) or leaks out; vacuum is untouched
 _BS_KEEP = _constant([[1.0, 0.0], [0.0, -1.0 / math.sqrt(2.0)]])
 _BS_LEAK = _constant([[0.0, 1.0 / math.sqrt(2.0)], [0.0, 0.0]])
-# one coherent history per Kraus operator, and the projector on each Fock outcome
+# one coherent history per Kraus operator
 _KRAUS = {GateConvention.UNITARY: (_constant(HADAMARD),),
           GateConvention.BEAMSPLITTER: (_BS_KEEP, _BS_LEAK)}
-_OUTCOME_PROJECTORS = (_constant([[1.0, 0.0], [0.0, 0.0]]), _constant([[0.0, 0.0], [0.0, 1.0]]))
+# P_o @ K per Fock outcome o and Kraus operator K: one pass gates and post-selects a mode
+_POSTSELECTED = {convention: [[_constant(np.diag(np.eye(2)[o]) @ k) for k in kraus] for o in (0, 1)]
+                 for convention, kraus in _KRAUS.items()}
 
 
 def _integer(value) -> int | None:
@@ -140,14 +142,14 @@ def hadamard_and_reduce(
 
     # each branch is one coherent history, one Kraus operator per mode;
     # branches add incoherently
+    postselect = interpretation == Interpretation.POSTSELECT
     branches = [embed(state)]
-    for mode in modes:
-        branches = [apply_on_mode(b, mode, op) for op in _KRAUS[convention] for b in branches]
+    for mode, o in zip(modes, outcomes):
+        ops = _POSTSELECTED[convention][int(o)] if postselect else _KRAUS[convention]
+        branches = [apply_on_mode(b, mode, op) for op in ops for b in branches]
 
     prob = None
-    if interpretation == Interpretation.POSTSELECT:
-        for mode, o in zip(modes, outcomes):
-            branches = [apply_on_mode(b, mode, _OUTCOME_PROJECTORS[int(o)]) for b in branches]
+    if postselect:
         prob = sum(b.norm() ** 2 for b in branches)
         if prob < ZERO_PROBABILITY_TOL:
             raise ValueError(

@@ -47,11 +47,7 @@ class DegenerateStructureError(ValueError):
 
 
 # workspace arguments of each driver, in the order its size query returns them
-_WORKSPACE = {"syevr": ("lwork", "liwork"), "heevr": ("lwork", "lrwork", "liwork")}
-# LAPACK prefix per dtype character, as scipy's get_lapack_funcs picks it; any
-# other dtype (ints, long double) runs in double precision
-_PREFIX = dict.fromkeys("?bBhHef", "s") | {"F": "c", "D": "z", "G": "z"}
-_PRECISION = {"s": np.float32, "d": np.float64, "c": np.complex64, "z": np.complex128}
+_WORKSPACE = {"dsyevr": ("lwork", "liwork"), "zheevr": ("lwork", "lrwork", "liwork")}
 
 
 @functools.cache
@@ -81,49 +77,43 @@ def _flapack():
 
 
 @functools.cache
-def _evr(dtype: np.dtype, n: int):
-    """The routine ``scipy.linalg.eigh`` picks for ``dtype``, its dtype and its ``n`` workspace.
-
-    The workspace sizes are rounded as ``scipy.linalg.lapack._compute_lwork``
-    rounds them: a single-precision query is stepped up to the next float32
-    before truncation, and every size must fit LAPACK's 32-bit integers.
+def _evr(driver: str, n: int):
+    """The LAPACK routine ``driver`` (``dsyevr`` or ``zheevr``) and its ``n`` workspace, sized as
+    ``scipy.linalg.lapack._compute_lwork`` sizes a double-precision query: truncated, and
+    within LAPACK's 32-bit integers.
     """
-    prefix = _PREFIX.get(dtype.char, "d")
-    name = ("he" if prefix in "cz" else "sy") + "evr"
     lapack = _flapack()
-    *sizes, info = getattr(lapack, prefix + name + "_lwork")(n=n, lower=True)
+    *sizes, info = getattr(lapack, driver + "_lwork")(n=n, lower=True)
     if info != 0:
         raise ValueError(f"Internal work array size computation failed: {info}")
     workspace = {}
-    for key, size in zip(_WORKSPACE[name], sizes):
-        size = size.real
-        if prefix in "sc":
-            size = np.nextafter(size, np.inf, dtype=np.float32)
-        size = int(size)
+    for key, size in zip(_WORKSPACE[driver], sizes):
+        size = int(size.real)
         if not 0 <= size <= np.iinfo(np.int32).max:
             raise ValueError("Too large work array required -- computation cannot be "
                              "performed with standard 32-bit LAPACK.")
         workspace[key] = size
-    return getattr(lapack, prefix + name), np.dtype(_PRECISION[prefix]), workspace
+    return getattr(lapack, driver), workspace
 
 
 def eigh(h) -> tuple[np.ndarray, np.ndarray]:
-    """``scipy.linalg.eigh(h)`` of one matrix, minus its per-call set-up.
+    """``scipy.linalg.eigh(h)`` of one matrix in double precision, minus its per-call set-up.
 
-    The same driver (``syevr``/``heevr``, lower triangle, vectors on) with the
-    same workspace sizes, so every output byte is the same; the driver lookup
-    and the workspace query are cached per (dtype, n). The input checks and
-    their errors are those of ``scipy.linalg.eigh``.
+    A real matrix goes to ``dsyevr`` and a complex one to ``zheevr`` (lower triangle, vectors
+    on), the drivers ``scipy.linalg.eigh`` picks for float64 and complex128, with the same
+    workspace sizes, so for those dtypes every output byte is the same. Any other dtype is cast
+    to float64 or complex128 first. The lookup and the workspace query are cached per (driver,
+    n). The input checks and their errors are those of ``scipy.linalg.eigh``.
     """
     a = np.asarray_chkfinite(h)  # ValueError on inf or nan
     if a.dtype == object:
         raise ValueError("object arrays are not supported")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError('expected square "a" matrix')
-    n = a.shape[0]
-    routine, precision, workspace = _evr(a.dtype, n)
-    if n == 0:
-        return np.empty(0, precision.char.lower()), np.empty((0, 0), precision)
+    a = a.astype(np.complex128 if a.dtype.kind == "c" else np.float64, copy=False)
+    routine, workspace = _evr("zheevr" if a.dtype.kind == "c" else "dsyevr", len(a))
+    if len(a) == 0:
+        return np.empty(0), np.empty((0, 0), a.dtype)
     w, v, *_, info = routine(a=a, overwrite_a=False, lower=True, compute_v=1, **workspace)
     if info != 0:
         raise LinAlgError(f"{routine.__name__} failed with info = {info}")
@@ -272,11 +262,8 @@ def sector_dark_columns(model: BranchModel, sector: Branch) -> np.ndarray:
 
 def analytic_dark_bright(model: BranchModel) -> DarkBrightBasis:
     """Dark states in closed form, bright states from the eigensolver."""
-    params = model.params
-    if params.g <= 0 or params.lam <= 0:
-        raise DegenerateStructureError("dark/bright structure needs g > 0 and lam > 0")
-    energies = _bright_energies(params)
-    printed = printed_bright_forms(params)[1:6, :]  # chain interior only
+    energies = _bright_energies(model.params)
+    printed = printed_bright_forms(model.params)[1:6, :]  # chain interior only
     bright = np.zeros((model.dim, 4))
     overlaps = {}
     for sector, pos in model.positions.items():

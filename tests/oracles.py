@@ -12,6 +12,8 @@ from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import expm_multiply
 
 import zenocavity as zc
+from zenocavity.protocols import ZERO_PROBABILITY_TOL
+from zenocavity.spaces import apply_on_mode
 
 
 def chain_hamiltonian(params: zc.UniformParams, branch: zc.Branch) -> np.ndarray:
@@ -114,6 +116,31 @@ _FIBER_KRAUS = {
     zc.GateConvention.BEAMSPLITTER: (np.array([[1.0, 0.0], [0.0, -1.0 / np.sqrt(2.0)]]),
                                      np.array([[0.0, 1.0 / np.sqrt(2.0)], [0.0, 0.0]])),
 }
+
+
+def two_pass_readout(state: zc.State, modes: list[str], keep: tuple[str, ...],
+                     interpretation: zc.Interpretation, outcome, convention: zc.GateConvention):
+    """``hadamard_and_reduce`` as two walks over the modes: every history through each
+    mode's gate, then every history through each mode's projector on its Fock outcome.
+    ``outcome`` is one int for every mode or a tuple with one per mode.
+    """
+    outcomes = list(outcome) if isinstance(outcome, tuple) else [outcome] * len(modes)
+    branches = [zc.embed(state)]
+    for mode in modes:
+        branches = [apply_on_mode(b, mode, op) for op in _FIBER_KRAUS[convention]
+                    for b in branches]
+    prob = None
+    if interpretation == zc.Interpretation.POSTSELECT:
+        for mode, o in zip(modes, outcomes):
+            branches = [apply_on_mode(b, mode, np.diag(np.eye(2)[o])) for b in branches]
+        prob = sum(b.norm() ** 2 for b in branches)
+        if prob < ZERO_PROBABILITY_TOL:
+            raise ValueError(f"post-selection on outcome(s) {outcomes} has probability ~0")
+    reduced = [zc.partial_trace(b, keep) for b in branches]
+    rho = sum((r.mat for r in reduced[1:]), start=reduced[0].mat)
+    if prob is not None:
+        rho = rho / prob
+    return zc.DensityOp(reduced[0].space, rho), prob
 
 
 # The targets as the paper writes them, from literal level names. Per sector: its level

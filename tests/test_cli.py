@@ -111,6 +111,21 @@ def test_darkstates_decomposes_each_sector_once(capsys, monkeypatch, branch):
     assert len(calls) == 1 + len(Branch(branch).sectors)
 
 
+@pytest.mark.parametrize("branch", ["left", "right", "combined"])
+def test_darkstates_flags_a_zero_cluster_that_swallowed_bright_states(capsys, branch):
+    # at g/lam = 1e-6 the default width (1e-6 of the spectral radius) merges +-g into the
+    # zero cluster, so the angles are taken against a projector of rank 5 per sector
+    sectors = len(Branch(branch).sectors)
+    code, out, err = invoke(["darkstates", "--branch", branch, "--g", "1e-6"], capsys)
+    assert code == 0
+    assert err.startswith("flag: ") and err.count("\n") == 1
+    assert f"rank {5 * sectors}, not {3 * sectors}" in err
+    angles = [row for row in rows_of(out)[1] if row[0] == "principal_angle"]
+    assert len(angles) == 3  # the rows stay, against the wider projector
+    code, _, err = invoke(["darkstates", "--branch", branch], capsys)
+    assert (code, err) == (0, "")
+
+
 def test_ambiguous_clustering_is_a_numeric_failure(capsys):
     # the +-g doublet sits inside the merge band but outside merge distance
     code, out, err = invoke(["darkstates", "--g", "2e-6", "--lam", "1"], capsys)

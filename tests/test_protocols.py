@@ -4,9 +4,11 @@ The effective-engine numbers are closed forms; the full-engine numbers are
 regression values pinned from runs well inside the Zeno regime.
 """
 
+import functools
 import itertools
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -158,6 +160,30 @@ def test_sixdim_effective(sixdim_model):
     assert abs(bs.fidelity - 17.0 / 30.0) < 1e-10
 
 
+@pytest.mark.parametrize("protocol,convention,passes", [
+    (Protocol.THREE_DIM, GateConvention.UNITARY, 1),
+    (Protocol.THREE_DIM, GateConvention.BEAMSPLITTER, 2),
+    (Protocol.SIX_DIM, GateConvention.UNITARY, 2),
+    (Protocol.SIX_DIM, GateConvention.BEAMSPLITTER, 6),
+])
+def test_a_readout_passes_each_history_over_each_mode_once(monkeypatch, protocol, convention,
+                                                           passes):
+    # one pass per Kraus history and mode: under postselect the outcome projector rides
+    # along with the gate instead of taking a second walk over the modes
+    calls = []
+    real = zc.protocols.apply_on_mode
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(zc.protocols, "apply_on_mode", counted)
+    for interpretation in Interpretation:
+        calls.clear()
+        run(default_spec(protocol, convention=convention, interpretation=interpretation))
+        assert len(calls) == passes, interpretation
+
+
 def _sixdim_premeasurement(model):
     tau = zc.solve_timing(model.params, zc.Branch.COMBINED)
     gen = zc.effective_generator(model)
@@ -230,6 +256,43 @@ def test_hadamard_zero_probability_branch_raises(space1):
     psi = (space1.ket(**atoms) + (-1) * space1.ket(**atoms, F_l=1)) * (1 / math.sqrt(2))
     with pytest.raises(ValueError, match="probability"):
         hadamard_and_reduce(psi, ["F_l"], ("a", "b"), outcome=0)
+
+
+_READOUTS = {zc.Branch.LEFT: (["F_l"], ("a", "b")), zc.Branch.RIGHT: (["F_r"], ("a", "c")),
+             zc.Branch.COMBINED: (["F_l", "F_r"], ("a", "b", "c"))}
+
+
+@functools.cache
+def _readout_space(branch):
+    return zc.build_branch_model(zc.UniformParams(g=1.0, lam=1.0, omega1=0.01), branch).restricted
+
+
+@settings(max_examples=300)
+@given(branch=st.sampled_from(list(zc.Branch)), seed=st.integers(0, 2**32 - 1),
+       interpretation=st.sampled_from(list(Interpretation)),
+       convention=st.sampled_from(list(GateConvention)),
+       outcome=st.sampled_from([0, 1, (0, 1), (1, 0), (1, 1)]))
+def test_hadamard_and_reduce_is_the_two_pass_readout_byte_for_byte(branch, seed, interpretation,
+                                                                   convention, outcome):
+    modes, keep = _READOUTS[branch]
+    if isinstance(outcome, tuple) and len(modes) == 1:
+        outcome = outcome[:1]
+    restricted = _readout_space(branch)
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=restricted.dim) + 1j * rng.normal(size=restricted.dim)
+    vec *= rng.random(restricted.dim) < 0.6  # some kets leave a fiber mode empty
+    psi = zc.State(restricted, vec / max(np.linalg.norm(vec), 1.0))
+    args = (psi, modes, keep, interpretation, outcome, convention)
+    try:
+        want = oracles.two_pass_readout(*args)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            hadamard_and_reduce(*args)
+        return
+    rho, p = hadamard_and_reduce(*args)
+    assert rho.space == want[0].space
+    assert (rho.mat.dtype, rho.mat.tobytes()) == (want[0].mat.dtype, want[0].mat.tobytes())
+    assert (type(p), p) == (type(want[1]), want[1])
 
 
 def test_hadamard_validation(space1):

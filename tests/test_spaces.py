@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import oracles
 import zenocavity as zc
 from zenocavity import spaces
-from zenocavity.protocols import _KRAUS, _OUTCOME_PROJECTORS
+from zenocavity.protocols import _KRAUS, _POSTSELECTED
 from zenocavity.spaces import (
     NEGATIVITY_DIM_CAP,
     InvalidSubsystemError,
@@ -338,7 +338,8 @@ def test_apply_mode_gate_validation(space1):
 
 # every operator the protocols put on a mode, plus None for a random matrix
 _MODE_OPERATORS = [None, zc.HADAMARD, *(op for ops in _KRAUS.values() for op in ops),
-                   *_OUTCOME_PROJECTORS]
+                   *(op for by_outcome in _POSTSELECTED.values() for ops in by_outcome
+                     for op in ops)]
 
 
 @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(MODE_NAMES),

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
+from scipy.linalg import lapack
+from scipy.linalg.lapack import _compute_lwork
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -121,9 +122,11 @@ def test_eigh_is_scipy_eigh_byte_for_byte(n, seed, hermitian):
 
 @pytest.mark.parametrize("dtype", [float, complex, np.float32, np.complex64, int])
 def test_eigh_matches_scipy_eigh_on_every_dtype(dtype):
+    # every dtype runs in double precision: scipy's result for the matrix cast up
     h = np.array([[2, 1, 0], [1, 3, 1], [0, 1, 4]], dtype=dtype)
-    _same_arrays(sla.eigh(h), eigh(h))
-    _same_arrays(sla.eigh(h[:0, :0]), eigh(h[:0, :0]))  # an empty matrix is no error
+    cast = h.astype(np.promote_types(dtype, np.float64))
+    _same_arrays(sla.eigh(cast), eigh(h))
+    _same_arrays(sla.eigh(cast[:0, :0]), eigh(h[:0, :0]))  # an empty matrix is no error
 
 
 @pytest.mark.parametrize("bad", [
@@ -140,13 +143,12 @@ def test_eigh_raises_what_scipy_eigh_raises(bad):
         eigh(bad)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64, np.complex128, np.int64])
-def test_evr_workspace_is_what_scipy_computes(dtype):
-    name = ("he" if np.dtype(dtype).kind == "c" else "sy") + "evr"
-    query = get_lapack_funcs(name + "_lwork", [np.empty((0, 0), dtype)])
+@pytest.mark.parametrize("driver", ["dsyevr", "zheevr"])
+def test_evr_workspace_is_what_scipy_computes(driver):
+    query = getattr(lapack, driver + "_lwork")
     for n in range(1, 65):
         want = _compute_lwork(query, n=n, lower=True)
-        assert tuple(_evr(np.dtype(dtype), n)[2].values()) == want
+        assert tuple(_evr(driver, n)[1].values()) == want
 
 
 # The suite imports scipy.linalg, so in this process eigh runs on scipy's own
@@ -181,7 +183,8 @@ rng = np.random.default_rng(0)
 for dtype in (np.float32, float, np.complex64, complex):
     a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     h = (a + a.conj().T).astype(dtype)
-    for want, got in zip(scipy.linalg.eigh(h), eigh(h)):
+    cast = h.astype(np.promote_types(dtype, np.float64))  # eigh runs in double precision
+    for want, got in zip(scipy.linalg.eigh(cast), eigh(h)):
         assert (want.dtype, want.tobytes()) == (got.dtype, got.tobytes()), dtype
 """
 
