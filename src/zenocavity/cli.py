@@ -153,7 +153,8 @@ def _load_config(path):
         return None
     import configparser  # only --config needs it
 
-    parser = configparser.ConfigParser()
+    # values are literal (no % interpolation) and [DEFAULT] is an ordinary, unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         loaded = parser.read(path)
     except configparser.Error as exc:

@@ -14,8 +14,9 @@ branch is 7-dimensional (14 for the combined two-branch space). A branch
 model is built from those chain links alone. The full-space path stays as
 its oracle: :func:`build_hamiltonian` sums each term as a plain ``sp.kron``
 chain over the nine factors (CSR), :func:`reachable_subspace` finds a sector
-as a closure, and :func:`restrict` compresses an operator onto it as a dense
-matrix. Only these three import ``scipy.sparse``.
+as the closure over every nonzero coupling, however small, and
+:func:`restrict` compresses an operator onto it as a dense matrix. Only
+these three import ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ from .spaces import (
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
-
-
-class ClosureOverflowError(ValueError):
-    """A reachable-subspace search exceeded its basis-size cap."""
 
 
 class _Choice(str, enum.Enum):
@@ -250,18 +247,14 @@ def build_hamiltonian(
 # sector closure and restriction
 # ---------------------------------------------------------------------------
 
-def reachable_subspace(
-    h,
-    seed: State,
-    tol: float = 1e-12,
-    cap: int = 512,
-) -> RestrictedSpace:
+def reachable_subspace(h, seed: State) -> RestrictedSpace:
     """Breadth-first closure of the seed's support under a Hamiltonian.
 
-    Basis states are added in FIFO discovery order with neighbors sorted by
-    basis index, so the result is deterministic; for a single-state seed
-    driven along a coupling chain this reproduces the natural chain order.
-    Raises :class:`ClosureOverflowError` if more than ``cap`` states appear.
+    Membership is structural: every nonzero stored entry is a link, however
+    small, so the closure holds the same states as the cached sector at any
+    g, lam > 0. Basis states are added in FIFO discovery order with neighbors
+    sorted by basis index, so the result is deterministic; for a single-state
+    seed driven along a coupling chain this reproduces the natural chain order.
     """
     import scipy.sparse as sp
 
@@ -272,26 +265,17 @@ def reachable_subspace(
     if h.shape != (space.dim, space.dim):
         raise InvalidSubsystemError("Hamiltonian shape does not match the seed's space")
 
-    start = [int(i) for i in np.flatnonzero(np.abs(seed.vec) > tol)]
-    if not start:
-        raise ValueError("seed state is (numerically) zero")
-    order: list[int] = []
-    seen = set(start)
-    queue = sorted(start)
-    while queue:
-        i = queue.pop(0)
-        order.append(i)
+    queue = [int(i) for i in np.flatnonzero(seed.vec)]
+    if not queue:
+        raise ValueError("seed state is zero")
+    seen = set(queue)
+    for i in queue:  # the list grows as it is read: a FIFO queue
         lo, hi = h.indptr[i], h.indptr[i + 1]
-        neigh = h.indices[lo:hi][np.abs(h.data[lo:hi]) > tol]
-        for j in sorted(int(j) for j in neigh):
+        for j in sorted(int(j) for j in h.indices[lo:hi][h.data[lo:hi] != 0]):
             if j not in seen:
                 seen.add(j)
                 queue.append(j)
-        if len(seen) > cap:
-            raise ClosureOverflowError(
-                f"reachable basis exceeded cap={cap}; raise the cap if this is intended"
-            )
-    return RestrictedSpace(space, tuple(order))
+    return RestrictedSpace(space, tuple(queue))
 
 
 def restrict(h, subspace: RestrictedSpace) -> np.ndarray:

@@ -295,17 +295,9 @@ def require_hermitian(mat: np.ndarray, tol: float = STRUCTURAL_TOL, what: str = 
 # reductions, fidelity, negativity
 # ---------------------------------------------------------------------------
 
-def _resolve_keep(space: HilbertSpace, keep: Iterable) -> tuple[int, ...]:
-    """The factor positions ``keep`` names, in tensor order, resolved once per (space, keep)."""
-    keep = tuple(keep)
-    try:
-        return _keep_positions(space, keep)
-    except TypeError:  # an unhashable entry: resolve uncached, so any error is the uncached one
-        return _keep_positions.__wrapped__(space, keep)
-
-
 @functools.cache
 def _keep_positions(space: HilbertSpace, keep: tuple) -> tuple[int, ...]:
+    """The factor positions ``keep`` names, in tensor order, resolved once per (space, keep)."""
     out = []
     for k in keep:
         out.append(space.subsystem_index(k) if isinstance(k, str) else int(k))
@@ -363,7 +355,7 @@ def partial_trace(state, keep: Iterable) -> DensityOp:
     if isinstance(state, State):
         state = embed(state)
         space = state.space
-        kept = _resolve_keep(space, keep)
+        kept = _keep_positions(space, tuple(keep))
         if len(kept) == len(space.dims):
             return density(state)
         reduced = _kept_space(space, kept)
@@ -380,7 +372,7 @@ def partial_trace(state, keep: Iterable) -> DensityOp:
                 "partial_trace of a restricted-space density matrix is not defined;"
                 " embed the underlying states first"
             )
-        kept = _resolve_keep(space, keep)
+        kept = _keep_positions(space, tuple(keep))
         if len(kept) == len(space.dims):
             return DensityOp(space, state.mat.copy())
         n = len(space.dims)
@@ -430,7 +422,7 @@ def negativity(state, partition: Iterable) -> float:
             " trace out spectators first"
         )
     rho = state if isinstance(state, DensityOp) else density(state)
-    part = _resolve_keep(space, partition)
+    part = _keep_positions(space, tuple(partition))
     if not part or len(part) == len(space.dims):
         raise InvalidSubsystemError("partition must be a proper nonempty subset")
     evals = np.linalg.eigvalsh(rho.mat.take(_partial_transpose(space, part)))

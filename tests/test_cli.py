@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from zenocavity import cli, zeno
 from zenocavity.cli import _AXIS_NAMES, _parse_grid, main
-from zenocavity.model import Branch
-from zenocavity.protocols import Engine, Protocol
+from zenocavity.model import COUPLINGS, Branch
+from zenocavity.protocols import Engine, Protocol, default_spec
 
 
 def invoke(argv, capsys):
@@ -195,6 +195,36 @@ def test_chi_failures_name_the_couplings(capsys, argv, couplings):
 _EDGE_VALUES = ("0", "5e-324", "1e-300", "1e-150", "1e-13", "0.01", "0.5", "1", "2",
                 "1e13", "1e150", "1e300", "nan", "inf", "-1")
 
+# An exit-0 row either carries a flag or meets the closed forms of the paper's effective
+# dynamics: fidelity 1, or 2 lam^2 / (g^2 + 2 lam^2) for bell, within 1e-9 on the effective
+# engine and within 0.1 r + 1e-9 on the full engine (perfbench's FULL_TOL_PER_RATIO), where
+# r is the largest drive over min(g, lam); success 1/2 for threedim and 1/4 for sixdim at
+# their default readout on the effective engine; a sweep's engine gap within 0.1 r + 1e-9;
+# and a compare row's infidelity below 3 r^2.
+_EFFECTIVE_TOL = 1e-9
+_FULL_TOL_PER_RATIO = 0.1
+_SUCCESS = {"threedim": 0.5, "sixdim": 0.25}
+
+
+def _drive_ratio(p) -> float:
+    return max(p["omega1"], p["omega2"], p["omega3"]) / min(p["g"], p["lam"])
+
+
+def _assert_closed_form(name, engine, params, fid, success):
+    ratio = params["g"] / params["lam"]
+    want = 2 / (ratio * ratio + 2) if name == "bell" else 1.0
+    effective = engine == Engine.EFFECTIVE.value
+    tol = _EFFECTIVE_TOL + (0 if effective else _FULL_TOL_PER_RATIO * _drive_ratio(params))
+    assert abs(fid - want) <= tol, (name, engine, params, fid, want)
+    if effective and name in _SUCCESS:
+        assert abs(success - _SUCCESS[name]) <= _EFFECTIVE_TOL, (name, params, success)
+
+
+def _flagged(err, cells) -> bool:
+    """Whether stderr holds a ``flag:`` line that names exactly these (name, cell) pairs."""
+    prefix = "flag: " + ", ".join(f"{name}={cell}" for name, cell in cells) + ": "
+    return any(line.startswith(prefix) for line in err.splitlines())
+
 
 @settings(max_examples=150)
 @given(name=st.sampled_from([p.value for p in Protocol]),
@@ -207,35 +237,39 @@ def test_numeric_arguments_never_escape_the_exit_codes(name, engine, values):
     for key, value in values.items():
         if value is not None:
             argv += [f"--{key}", value]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)  # a traceback would be an uncaught exception here
+    code, out, _ = _main_quietly(argv)
     assert code in (0, 1, 2)
-    if code == 0:  # json only emits NaN, Infinity and -Infinity as bare constants
-        json.loads(out.getvalue(), parse_constant=pytest.fail)
-    else:
-        assert out.getvalue() == ""
+    if code != 0:
+        assert out == ""
+        return
+    doc = json.loads(out, parse_constant=pytest.fail)  # json emits NaN and Infinity bare
+    if not doc["flags"]:
+        _assert_closed_form(name, engine, doc["params"], doc["fidelity"],
+                            doc["success_probability"])
 
 
 def _main_quietly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)  # a traceback would be an uncaught exception here
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
-def _assert_finite_or_empty_cells(code, text):
+def _finite_rows(code, text):
+    """The table's header and rows, every cell finite or empty; none when it failed."""
     assert code in (0, 1, 2)
     if code != 0:
         assert text == ""
-        return
-    _, rows = rows_of(text)
+        return (), []
+    header, rows = rows_of(text)
     for row in rows:
         for cell in row:
             assert cell == "" or math.isfinite(float(cell)), row
+    return header, rows
 
 
 _EDGE_ENDS = st.sampled_from(_EDGE_VALUES)
+_DERIVED_AXES = {"g_over_lam": ("g", "lam"), "omega1_over_g": ("omega1", "g")}  # (sets, times)
 _COUNTS = st.sampled_from(["2", "3"])  # larger counts ask numpy for that many cells
 
 
@@ -248,7 +282,24 @@ def test_sweep_axis_ends_never_escape_the_exit_codes(name, axes):
     argv = ["sweep", "--name", name]
     for axis in axes:
         argv += ["--axis", ":".join(axis)]
-    _assert_finite_or_empty_cells(*_main_quietly(argv))
+    code, out, err = _main_quietly(argv)
+    header, rows = _finite_rows(code, out)
+    names = header[:len(axes)]
+    spec = default_spec(name)
+    for row in rows:
+        cells = list(zip(names, row))
+        if _flagged(err, cells):
+            continue
+        # the axes apply in _AXIS_NAMES order, each derived ratio on the values before it;
+        # the cells carry 12 significant digits, far inside every tolerance below
+        params = {key: getattr(spec.params, key) for key in COUPLINGS}
+        for axis, cell in sorted(cells, key=lambda nc: _AXIS_NAMES.index(nc[0])):
+            key, base = _DERIVED_AXES.get(axis, (axis, None))
+            params[key] = float(cell) * (1.0 if base is None else params[base])
+        fid, _, success, _, gap = row[len(axes):]
+        _assert_closed_form(name, spec.engine.value, params, float(fid),
+                            float(success) if success else None)
+        assert float(gap) <= _FULL_TOL_PER_RATIO * _drive_ratio(params) + _EFFECTIVE_TOL, row
 
 
 @settings(max_examples=60, deadline=None)
@@ -256,7 +307,10 @@ def test_sweep_axis_ends_never_escape_the_exit_codes(name, axes):
        start=_EDGE_ENDS, stop=_EDGE_ENDS, count=_COUNTS)
 def test_compare_tau_ends_never_escape_the_exit_codes(branch, start, stop, count):
     argv = ["compare", "--branch", branch, f"--taus={start}:{stop}:{count}"]
-    _assert_finite_or_empty_cells(*_main_quietly(argv))
+    code, out, err = _main_quietly(argv)
+    ratio = 0.01  # compare's defaults: g = lam = 1, omega1 = 0.01
+    for tau, fid in _finite_rows(code, out)[1]:
+        assert _flagged(err, [("tau", tau)]) or 1 - float(fid) <= 3 * ratio**2, (tau, fid)
 
 
 _MAX_POINTS = 10**6
@@ -473,6 +527,26 @@ def test_config_errors_name_their_section_and_key(tmp_path, capsys, command, nam
     section = ini.partition("]")[0] + "]"
     assert f"config section {section}, key {key}:" in err
     assert needle in err
+
+
+# config values are literal: a % neither interpolates nor crashes the parser
+@pytest.mark.parametrize("raw", ["1%", "%(lam)s"])
+def test_a_percent_in_a_config_value_is_a_literal(tmp_path, capsys, raw):
+    cfg = tmp_path / "percent.ini"
+    cfg.write_text(f"[params]\nlam = 2\ng = {raw}\n")
+    code, out, err = invoke(["protocol", "--name", "bell", "--config", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: config section [params], key g: g must be a number, got {raw!r}\n"
+
+
+# [DEFAULT] is a section like any other, so it is an unknown one, not a layer under the rest
+@pytest.mark.parametrize("others", ["[bell]\nengine = effective\n", "[params]\ng = 0.1\n"])
+def test_a_default_section_is_an_unknown_section(tmp_path, capsys, others):
+    cfg = tmp_path / "default.ini"
+    cfg.write_text(f"[DEFAULT]\nk = 2\n\n{others}")
+    code, out, err = invoke(["protocol", "--name", "bell", "--config", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown config section(s) DEFAULT in {cfg}\n"
 
 
 @pytest.mark.parametrize("argv,needle", [
