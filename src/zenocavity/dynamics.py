@@ -10,6 +10,7 @@ pulse-timing conditions used by the protocols.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,11 @@ _EPS = float(np.finfo(float).eps)
 
 
 class Propagator:
-    """Cached spectral propagator ``exp(-i H t)`` for a hermitian ``H``."""
+    """Cached spectral propagator ``exp(-i H t)`` for a hermitian ``H``.
+
+    Each call decomposes ``h`` anew. The run and compare paths take theirs from
+    :func:`model_propagator`, which decomposes each engine's generator once per model.
+    """
 
     def __init__(self, h: np.ndarray):
         h = np.asarray(h)
@@ -123,6 +128,28 @@ def effective_generator(model: BranchModel) -> np.ndarray:
     return h
 
 
+# each model's propagators by engine (True: the dark-block generator); an entry dies
+# with its model, so no model is held alive and no parameter value keys anything
+_PROPAGATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def model_propagator(model: BranchModel, effective: bool) -> Propagator:
+    """The propagator of ``model.total``, or of :func:`effective_generator` if ``effective``.
+
+    The first call per model and engine checks and decomposes the generator; later calls
+    return the same propagator, whose eigenvalues and eigenvectors are read-only. So a
+    write to ``model.total`` after that first call does not reach it.
+    """
+    propagators = _PROPAGATORS.setdefault(model, {})
+    propagator = propagators.get(effective)
+    if propagator is None:
+        propagator = Propagator(effective_generator(model) if effective else model.total)
+        propagator.evals.setflags(write=False)
+        propagator.evecs.setflags(write=False)
+        propagators[effective] = propagator
+    return propagator
+
+
 # ---------------------------------------------------------------------------
 # pulse timing
 # ---------------------------------------------------------------------------
@@ -184,8 +211,7 @@ def compare_full_vs_effective(model: BranchModel, taus) -> list[ComparisonRow]:
     requested duration; the gap measures how far the operating point is from the Zeno limit.
     """
     seed = model.seed().vec
-    full = Propagator(model.total)
-    eff = Propagator(effective_generator(model))
+    full, eff = model_propagator(model, False), model_propagator(model, True)
     rows = []
     for tau in taus:
         t = float(tau)

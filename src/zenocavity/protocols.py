@@ -35,8 +35,7 @@ import numpy as np
 from .dynamics import (
     HALF_PI,
     PI,
-    Propagator,
-    effective_generator,
+    model_propagator,
     solve_timing,
     zeno_ratio,
 )
@@ -49,8 +48,8 @@ from .spaces import (
     State,
     apply_on_mode,
     embed,
-    fidelity,
     negativity,
+    overlap,
     partial_trace,
 )
 
@@ -333,7 +332,9 @@ def run(spec: ProtocolSpec, model: BranchModel | None = None) -> ProtocolResult:
     """Build the branch model, apply the timed pulse, score against the target.
 
     Pass ``model`` to reuse one construction across several runs (e.g. both
-    engines at the same parameter point); it must match the request.
+    engines at the same parameter point); it must match the request. A prebuilt
+    model decomposes each engine's generator once, on its first run of that engine,
+    and every later run on it reuses that decomposition.
     """
     if model is None:
         model = build_branch_model(spec.params, spec.branch)
@@ -342,8 +343,7 @@ def run(spec: ProtocolSpec, model: BranchModel | None = None) -> ProtocolResult:
     tau = solve_timing(spec.params, spec.branch, _PROTOCOLS[spec.protocol].pulse, spec.k)
     flags = _regime_flags(spec)
 
-    gen = model.total if spec.engine == Engine.FULL else effective_generator(model)
-    propagator = Propagator(gen)
+    propagator = model_propagator(model, spec.engine == Engine.EFFECTIVE)
     psi = State(model.restricted, propagator.apply(model.seed().vec, tau))
     flags += propagator.flags(tau)
     target = target_state(spec, model)
@@ -365,7 +365,7 @@ def run(spec: ProtocolSpec, model: BranchModel | None = None) -> ProtocolResult:
     return ProtocolResult(
         spec=spec,
         tau=float(tau),
-        fidelity=float(fidelity(final, target)),
+        fidelity=overlap(final, target),
         success_probability=None if prob is None else float(prob),
         negativity=None if neg is None else float(neg),
         flags=tuple(flags),

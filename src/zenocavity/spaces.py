@@ -394,6 +394,14 @@ def fidelity(state, target: State) -> float:
     """
     if abs(target.norm() - 1.0) > 1e-9:
         raise ValueError(f"target is not normalized (norm {target.norm():.6f})")
+    return overlap(state, target)
+
+
+def overlap(state, target: State) -> float:
+    """:func:`fidelity` without its check that ``target`` is normalized.
+
+    For a target the package built normalized, such as each protocol's.
+    """
     if isinstance(state, State):
         return float(abs(inner(target, state)) ** 2)
     if isinstance(state, DensityOp):

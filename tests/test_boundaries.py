@@ -1,6 +1,8 @@
-"""The package's module boundaries: no module reaches into another's private names."""
+"""The package's module boundaries: no module reaches into another's private names, and the
+register's labels have one home."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -53,3 +55,17 @@ def test_no_module_reads_a_private_attribute_it_does_not_define(path):
                      if isinstance(node, ast.Attribute) and _private(node.attr)
                      and node.attr not in defined)
     assert foreign == []
+
+
+# a quoted level label (f, e or g) or mode label (cavity A or B, fiber F) of either polarization
+_LABEL = re.compile(r"[\"'][feg]_[lr][\"']|[\"'][ABF]_[lr][\"']")
+
+
+def test_the_registers_labels_live_only_in_model_layout():
+    # model.LAYOUT builds every level and mode name from its polarization suffix
+    package = MODULES[0].parent
+    quoted = [f"{path.relative_to(package)}:{n}: {line.strip()}"
+              for path in sorted(package.rglob("*.py"))
+              for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+              if _LABEL.search(line)]
+    assert quoted == [], "a quoted level or mode label: build it from model.LAYOUT instead"

@@ -1,6 +1,9 @@
 """Spectral propagation, closed-form dark amplitudes, pulse timing."""
 
+import gc
 import math
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import zenocavity as zc
+from zenocavity import dynamics
 from zenocavity.dynamics import DriveAngles
+from zenocavity.protocols import _PROTOCOLS, Engine, default_spec, run
 
 ATOL = 1e-12
 
@@ -48,6 +53,17 @@ def test_propagator_unitarity_and_identity():
 def test_propagator_rejects_nonhermitian():
     with pytest.raises(ValueError):
         zc.Propagator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("deviation, hermitian", [(0.0, True), (0.9e-12, True),
+                                                  (2e-12, False), (1e-9, False)])
+def test_propagator_accepts_a_hermitian_deviation_up_to_1e_12(deviation, hermitian):
+    h = np.array([[1.0, 0.5 + deviation], [0.5, -1.0]])
+    if hermitian:
+        assert zc.Propagator(h).evals.shape == (2,)
+    else:
+        with pytest.raises(ValueError, match="not hermitian"):
+            zc.Propagator(h)
 
 
 def test_propagator_rejects_an_overflowing_phase():
@@ -198,3 +214,75 @@ def test_compare_full_vs_effective(st_model):
     assert [r.tau for r in rows] == [0.0, tau]
     assert abs(rows[0].fidelity - 1.0) < ATOL
     assert 0.99 < rows[1].fidelity <= 1.0 + ATOL
+
+
+# ---------------------------------------------------------------------------
+# one decomposition per (model, engine)
+# ---------------------------------------------------------------------------
+
+def _counting_eigh(monkeypatch):
+    """The matrices that ``dynamics`` decomposes from now on, one entry per eigensolve."""
+    calls = []
+    real = dynamics.eigh
+
+    def counting(h):
+        calls.append(h)
+        return real(h)
+
+    monkeypatch.setattr(dynamics, "eigh", counting)
+    return calls
+
+
+@pytest.mark.parametrize("protocol", ["state_transfer", "bell", "sixdim"])
+def test_a_model_decomposes_each_engine_once(monkeypatch, protocol):
+    calls = _counting_eigh(monkeypatch)
+    spec = default_spec(protocol)
+    model = zc.build_branch_model(spec.params, spec.branch)
+    assert calls == []  # building a model decomposes nothing
+    for _ in range(5):
+        run(spec, model)
+    assert len(calls) == 1
+    for engine in (Engine.EFFECTIVE, Engine.FULL, Engine.EFFECTIVE):
+        run(replace(spec, engine=engine), model)
+    assert len(calls) == 2
+    tau = zc.solve_timing(spec.params, spec.branch, _PROTOCOLS[spec.protocol].pulse)
+    zc.compare_full_vs_effective(model, [0.0, tau])
+    assert len(calls) == 2
+    fresh = zc.build_branch_model(spec.params, spec.branch)
+    run(spec, fresh)
+    assert len(calls) == 3
+
+
+def test_compare_decomposes_each_engine_once_and_runs_reuse_it(monkeypatch, st_model):
+    calls = _counting_eigh(monkeypatch)
+    model = zc.build_branch_model(st_model.params, st_model.branch)
+    zc.compare_full_vs_effective(model, [0.0, 1.0])
+    zc.compare_full_vs_effective(model, [2.0])
+    assert len(calls) == 2
+    spec = default_spec("state_transfer", params=model.params)
+    for engine in Engine:
+        run(replace(spec, engine=engine), model)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("effective", [False, True])
+def test_a_models_decomposition_is_read_only(st_model, effective):
+    model = zc.build_branch_model(st_model.params, st_model.branch)  # a write must not leak
+    propagator = dynamics.model_propagator(model, effective)
+    assert dynamics.model_propagator(model, effective) is propagator
+    for array in (propagator.evals, propagator.evecs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_a_models_decompositions_die_with_it():
+    # a sweep builds one model per point; its decompositions must not outlive it
+    spec = default_spec("ghz")
+    model = zc.build_branch_model(spec.params, spec.branch)
+    for engine in Engine:
+        run(replace(spec, engine=engine), model)
+    zc.compare_full_vs_effective(model, [1.0])
+    alive = weakref.ref(model)
+    del model
+    gc.collect()
+    assert alive() is None

@@ -470,6 +470,42 @@ def test_writing_to_a_result_does_not_reach_the_next_run(spec):
     assert again.target.vec.tobytes() == target.tobytes()
 
 
+def _outcome(spec, model=None):
+    """A run's JSON, final-state bytes and target bytes, or its error."""
+    try:
+        result = run(spec, model)
+    except ValueError as exc:
+        return "error", str(exc)
+    final = result.final_state
+    array = final.vec if isinstance(final, zc.State) else final.mat
+    return json.dumps(result.to_dict()), array.tobytes(), result.target.vec.tobytes()
+
+
+@settings(max_examples=40)
+@given(pair=st.sampled_from([(p, b) for p in Protocol for b in _PROTOCOLS[p].branches]),
+       drive=st.floats(0.5, 2.0),
+       choices=st.lists(st.tuples(st.sampled_from(list(Engine)),
+                                  st.sampled_from(list(Interpretation)), st.integers(0, 1),
+                                  st.sampled_from(list(GateConvention)), st.integers(1, 3)),
+                        min_size=1, max_size=6),
+       order=st.randoms(use_true_random=False))
+def test_runs_on_one_shared_model_match_runs_on_fresh_models_byte_for_byte(pair, drive, choices,
+                                                                          order):
+    # the shared model decomposes each engine on its first run and reuses it in any order
+    protocol, branch = pair
+    base = default_spec(protocol, branch=branch)
+    params = replace(base.params, omega1=drive * base.params.omega1)
+    specs = [replace(base, params=params, engine=engine, interpretation=interpretation,
+                     outcome=outcome, convention=convention, k=k)
+             for engine, interpretation, outcome, convention, k in choices]
+    fresh = [_outcome(spec) for spec in specs]
+    model = zc.build_branch_model(params, branch)
+    sequence = list(range(len(specs))) * 2
+    order.shuffle(sequence)
+    for i in sequence:
+        assert _outcome(specs[i], model) == fresh[i]
+
+
 def test_a_warm_run_builds_no_space_and_no_ket(monkeypatch):
     specs = _every_branch_spec()
     for spec in specs:

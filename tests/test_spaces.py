@@ -240,6 +240,24 @@ def test_fidelity_pure_and_mixed():
         zc.fidelity(psi.vec, phi)
 
 
+@pytest.mark.parametrize("excess", [0.5e-9, 0.9e-9, 2e-9, 1e-6])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_fidelity_checks_the_target_norm_at_1e_9_and_overlap_does_not(excess, mixed):
+    # a target one part in 1e9 off its norm is accepted, two parts are not
+    sp = _pair_space()
+    psi = _random_state(sp, 6)
+    state = density(psi) if mixed else psi
+    target = zc.State(sp, (1.0 + excess) * _random_state(sp, 7).vec)
+    unchecked = spaces.overlap(state, target)
+    if excess < 1e-9:
+        assert zc.fidelity(state, target) == unchecked
+    else:
+        with pytest.raises(ValueError, match="target is not normalized"):
+            zc.fidelity(state, target)
+    assert abs(unchecked - zc.fidelity(state, target * (1.0 / (1.0 + excess)))
+               * (1.0 + excess) ** 2) < ATOL
+
+
 def _negativity_by_loops(rho, dims, part):
     """Element-by-element partial transpose; independent of the library path."""
     d = rho.shape[0]
