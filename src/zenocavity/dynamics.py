@@ -34,6 +34,7 @@ class Propagator:
         require_hermitian(h, what="Hamiltonian")
         self.evals, self.evecs = eigh(h)
         self._radius = float(np.max(np.abs(self.evals)))
+        self._rates = -1j * self.evals  # the phases at t are exp(rates * t)
 
     def _phase_error(self, t: float) -> float:
         """eps * max|E| * |t|: the absolute error of the largest phase E * t."""
@@ -46,11 +47,15 @@ class Propagator:
         if not error <= 1e-2:
             raise FloatingPointError(
                 f"phase error eps*max|E|*|t| = {error:.3g} exceeds 1e-2 at t = {t:.3g}")
-        return np.exp(-1j * self.evals * t)
+        return np.exp(self._rates * t)
 
     def apply(self, vec: np.ndarray, t: float) -> np.ndarray:
         vec = np.asarray(vec, dtype=complex)
-        return self.evecs @ (self._phases(t) * (self.evecs.conj().T @ vec))
+        return self.evolve(self.evecs.conj().T @ vec, t)
+
+    def evolve(self, coords: np.ndarray, t: float) -> np.ndarray:
+        """``exp(-i H t)`` of the ket whose eigenbasis coordinates are ``coords``."""
+        return self.evecs @ (self._phases(t) * coords)
 
     def flags(self, t: float) -> list[str]:
         """The flag of a phase error above 1e-6 at ``t``, as a list of zero or one flags."""
@@ -81,17 +86,8 @@ class DriveAngles:
 
     @classmethod
     def of(cls, params: UniformParams, branch: Branch) -> "DriveAngles":
-        if branch not in LAYOUT:
-            raise ValueError("combined evolution is per-sector; pick a branch")
-        om_a, om_b = params.omega1, getattr(params, LAYOUT[branch].drive)
-        omega = math.hypot(om_a, om_b)
-        if omega <= 0:
-            raise ValueError("both drives are zero; the dark sector does not move")
-        if params.g <= 0 or params.lam <= 0:
-            raise ValueError("dark-sector dynamics needs g > 0 and lam > 0")
-        theta = math.atan2(om_b, om_a)
-        rate = omega * params.lam / (params.g * params.chi())
-        return cls(om_a, om_b, omega, theta, rate)
+        om_a, om_b, omega, rate = _pulse(params, branch)
+        return cls(om_a, om_b, omega, math.atan2(om_b, om_a), rate)
 
     def amplitudes(self, tau: float) -> tuple[complex, complex, complex]:
         """(A1, A2, A3): weights of the seed, superposition, and transferred
@@ -102,6 +98,20 @@ class DriveAngles:
         a2 = -1j * c * math.sin(ph)
         a3 = 0.5 * math.sin(2 * self.theta) * (math.cos(ph) - 1.0)
         return complex(a1), complex(a2), complex(a3)
+
+
+def _pulse(params: UniformParams, branch: Branch) -> tuple[float, float, float, float]:
+    """One sector's two drives, ``omega`` and the dark-sector phase rate, checked."""
+    layout = LAYOUT.get(branch)
+    if layout is None:
+        raise ValueError("combined evolution is per-sector; pick a branch")
+    om_a, om_b = params.omega1, getattr(params, layout.drive)
+    omega = math.hypot(om_a, om_b)
+    if omega <= 0:
+        raise ValueError("both drives are zero; the dark sector does not move")
+    if params.g <= 0 or params.lam <= 0:
+        raise ValueError("dark-sector dynamics needs g > 0 and lam > 0")
+    return om_a, om_b, omega, omega * params.lam / (params.g * params.chi())
 
 
 def effective_matrix(params: UniformParams, branch: Branch) -> np.ndarray:
@@ -133,21 +143,25 @@ def effective_generator(model: BranchModel) -> np.ndarray:
 _PROPAGATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def model_propagator(model: BranchModel, effective: bool) -> Propagator:
-    """The propagator of ``model.total``, or of :func:`effective_generator` if ``effective``.
+def model_propagator(model: BranchModel, effective: bool) -> tuple[Propagator, np.ndarray]:
+    """The propagator of ``model.total``, or of :func:`effective_generator` if ``effective``,
+    and the model's seed in its eigenbasis, ``evecs^† seed``.
 
-    The first call per model and engine checks and decomposes the generator; later calls
-    return the same propagator, whose eigenvalues and eigenvectors are read-only. So a
-    write to ``model.total`` after that first call does not reach it.
+    The first call per model and engine checks and decomposes the generator and takes the
+    seed into the eigenbasis; later calls return the same pair, whose arrays are read-only,
+    as are the model's blocks.
     """
-    propagators = _PROPAGATORS.setdefault(model, {})
-    propagator = propagators.get(effective)
-    if propagator is None:
+    propagators = _PROPAGATORS.get(model)
+    if propagators is None:
+        propagators = _PROPAGATORS[model] = {}
+    entry = propagators.get(effective)
+    if entry is None:
         propagator = Propagator(effective_generator(model) if effective else model.total)
-        propagator.evals.setflags(write=False)
-        propagator.evecs.setflags(write=False)
-        propagators[effective] = propagator
-    return propagator
+        coords = propagator.evecs.conj().T @ model.seed().vec
+        for array in (propagator.evals, propagator.evecs, propagator._rates, coords):
+            array.setflags(write=False)
+        entry = propagators[effective] = propagator, coords
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +194,10 @@ def solve_timing(params: UniformParams, branch: Branch, condition: str = HALF_PI
                                                       rel_tol=1e-12, abs_tol=0.0):
         raise ValueError("combined timing needs omega2 == omega3 (one pulse clock for"
                          f" both sectors), got {params.omega2} vs {params.omega3}")
-    ang = DriveAngles.of(params, branch.sectors[0])
-    tau = target / ang.phase_rate
+    rate = _pulse(params, branch.sectors[0])[3]
+    tau = target / rate
     if not math.isfinite(tau):
-        raise OverflowError(f"pulse time is not finite (phase rate {ang.phase_rate:.3g})")
+        raise OverflowError(f"pulse time is not finite (phase rate {rate:.3g})")
     return tau
 
 
@@ -211,7 +225,7 @@ def compare_full_vs_effective(model: BranchModel, taus) -> list[ComparisonRow]:
     requested duration; the gap measures how far the operating point is from the Zeno limit.
     """
     seed = model.seed().vec
-    full, eff = model_propagator(model, False), model_propagator(model, True)
+    (full, _), (eff, _) = model_propagator(model, False), model_propagator(model, True)
     rows = []
     for tau in taus:
         t = float(tau)

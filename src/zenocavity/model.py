@@ -427,7 +427,8 @@ def build_branch_model(
     entry comes from exactly one coupling term, so the result equals a fresh
     restriction of :func:`build_hamiltonian` to :func:`reachable_subspace` bit
     for bit. That full-space path, a sum of plain ``sp.kron`` chains, is the
-    oracle only.
+    oracle only. The blocks are read-only: a run caches each engine's
+    decomposition per model, which a write would silently bypass.
     """
     if params.g <= 0 or params.lam <= 0:
         raise ValueError("branch sectors need g > 0 and lam > 0")
@@ -437,13 +438,16 @@ def build_branch_model(
     u_g, u_lam, u_1, u_2, u_3 = sector.units
     strong = params.g * u_g + params.lam * u_lam
     drive = params.omega1 * u_1 + params.omega2 * u_2 + params.omega3 * u_3
+    total = strong + drive
+    for block in (total, strong, drive):  # runs cache what they derive from them
+        block.setflags(write=False)
     return BranchModel(
         branch=branch,
         params=params,
         space=space,
         restricted=sector.restricted,
         positions=sector.positions,
-        total=strong + drive,
+        total=total,
         strong=strong,
         drive=drive,
     )

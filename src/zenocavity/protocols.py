@@ -45,10 +45,9 @@ from .spaces import (
     DensityOp,
     HilbertSpace,
     InvalidSubsystemError,
+    ReadoutPlan,
+    RestrictedSpace,
     State,
-    apply_on_mode,
-    embed,
-    negativity,
     overlap,
     partial_trace,
 )
@@ -139,27 +138,43 @@ def hadamard_and_reduce(
     if any(_integer(o) not in (0, 1) for o in outcomes):
         raise ValueError(f"outcomes must be 0 or 1, got {outcomes}")
 
-    # each branch is one coherent history, one Kraus operator per mode;
-    # branches add incoherently
+    # each history is one coherent sequence, one Kraus operator per mode; histories add
+    # incoherently
+    space = state.space
     postselect = interpretation == Interpretation.POSTSELECT
-    branches = [embed(state)]
-    for mode, o in zip(modes, outcomes):
-        ops = _POSTSELECTED[convention][int(o)] if postselect else _KRAUS[convention]
-        branches = [apply_on_mode(b, mode, op) for op in ops for b in branches]
-
+    gates = _gates(space, tuple(modes), tuple(map(int, outcomes)) if postselect else None,
+                   convention)
+    histories = gates.histories(state.vec)
     prob = None
     if postselect:
-        prob = sum(b.norm() ** 2 for b in branches)
-        if prob < ZERO_PROBABILITY_TOL:
-            raise ValueError(
-                f"post-selection on outcome(s) {outcomes} has probability ~0"
-            )
+        prob = _weight(gates, histories,
+                       f"post-selection on outcome(s) {outcomes} has probability ~0")
+    parent = space.parent if isinstance(space, RestrictedSpace) else space
+    reduced = [partial_trace(State(parent, h), keep) for h in histories]
+    return DensityOp(reduced[0].space, _mixture([r.mat for r in reduced], prob)), prob
 
-    reduced = [partial_trace(b, keep) for b in branches]
-    rho = sum((r.mat for r in reduced[1:]), start=reduced[0].mat)
-    if prob is not None:
-        rho = rho / prob
-    return DensityOp(reduced[0].space, rho), prob
+
+@functools.cache
+def _gates(space, modes: tuple[str, ...], outcomes: tuple[int, ...] | None,
+           convention: GateConvention) -> ReadoutPlan:
+    """The gate of each mode, post-selected on its outcome unless ``outcomes`` is None."""
+    return ReadoutPlan(space, [(mode, _KRAUS[convention] if outcomes is None
+                                else _POSTSELECTED[convention][o])
+                               for mode, o in zip(modes, outcomes or modes)])
+
+
+def _weight(readout: ReadoutPlan, histories, refusal: str) -> float:
+    """The post-selection probability of ``histories``, refused with ``refusal`` if ~0."""
+    prob = readout.weight(histories)
+    if prob < ZERO_PROBABILITY_TOL:
+        raise ValueError(refusal)
+    return prob
+
+
+def _mixture(mats, prob):
+    """The histories' reduced states summed in order, normalized when post-selected."""
+    rho = sum(mats[1:], start=mats[0])
+    return rho if prob is None else rho / prob
 
 
 # ---------------------------------------------------------------------------
@@ -167,25 +182,45 @@ def hadamard_and_reduce(
 # ---------------------------------------------------------------------------
 
 class _Definition(NamedTuple):
+    """One protocol: its pulse and defaults, what it aims at, how its ket is read out and
+    scored, and the regime it assumes, which a run flags when it leaves it."""
+
     pulse: str                      # HALF_PI or PI
     params: UniformParams           # defaults
     branches: tuple[Branch, ...]    # allowed, the default first
+    # a dark column of the sector (1: transferred, 2: delocalized), or per sector the signs
+    # of the atom states (e g), (g g) and (g e) on a and its cavity-B atom
+    target: int | tuple[int, int, int]
+    # the final state: the "ket", the reduced state of the "atoms", or that of the atoms
+    # after the Hadamard on each sector's "fiber" mode
+    readout: str
+    negativity: bool                # of the reduced state of the atoms
+    one_drive: bool = False         # atom a is driven alone: every cavity-B drive is zero
+    equal_drives: str | None = None  # the flag of drives that are not all equal
+    equal_couplings: bool = False   # g = lam
+    max_g_over_lam: float | None = None
 
 
 _SINGLE = (Branch.LEFT, Branch.RIGHT)
 _COMBINED = (Branch.COMBINED,)
 _UNIT = UniformParams(g=1.0, lam=1.0, omega1=0.01)
+_BELL_SIGNS, _QUTRIT_SIGNS = (1, 0, 1), (1, -1, 1)  # eg + ge, and eg - gg + ge
 _PROTOCOLS = {
-    Protocol.STATE_TRANSFER: _Definition(HALF_PI, _UNIT, _SINGLE + _COMBINED),
-    Protocol.THREE_DIM: _Definition(HALF_PI, _UNIT, _SINGLE),
+    Protocol.STATE_TRANSFER: _Definition(HALF_PI, _UNIT, _SINGLE + _COMBINED, 2, "ket", False,
+                                         one_drive=True),
+    Protocol.THREE_DIM: _Definition(HALF_PI, _UNIT, _SINGLE, _QUTRIT_SIGNS, "fiber", True,
+                                    one_drive=True, equal_couplings=True),
     # Bell wants g << lam; drives stay well inside the Zeno regime
-    Protocol.BELL: _Definition(HALF_PI, replace(_UNIT, g=0.1, omega1=0.001), _SINGLE),
-    Protocol.SWAP: _Definition(PI, replace(_UNIT, omega2=0.01), _SINGLE),
-    Protocol.GHZ: _Definition(PI, replace(_UNIT, omega2=0.01, omega3=0.01), _COMBINED),
-    Protocol.SIX_DIM: _Definition(HALF_PI, _UNIT, _COMBINED),
+    Protocol.BELL: _Definition(HALF_PI, replace(_UNIT, g=0.1, omega1=0.001), _SINGLE,
+                               _BELL_SIGNS, "atoms", True, one_drive=True, max_g_over_lam=0.2),
+    Protocol.SWAP: _Definition(PI, replace(_UNIT, omega2=0.01), _SINGLE, 1, "ket", False,
+                               equal_drives="swap assumes equal drives on both atoms"),
+    # ghz scores its fidelity on the sector ket but its entanglement on the atoms
+    Protocol.GHZ: _Definition(PI, replace(_UNIT, omega2=0.01, omega3=0.01), _COMBINED, 1,
+                              "ket", True, equal_drives="ghz assumes omega1 = omega2 = omega3"),
+    Protocol.SIX_DIM: _Definition(HALF_PI, _UNIT, _COMBINED, _QUTRIT_SIGNS, "fiber", True,
+                                  one_drive=True, equal_couplings=True),
 }
-# the protocols that drive atom a alone: each sector's cavity-B drive must be zero
-_ONE_DRIVE = (Protocol.STATE_TRANSFER, Protocol.THREE_DIM, Protocol.BELL, Protocol.SIX_DIM)
 
 
 @dataclass(frozen=True)
@@ -258,8 +293,8 @@ class ProtocolResult:
 def default_spec(protocol: Protocol | str, **overrides) -> ProtocolSpec:
     """A runnable spec with per-protocol default branch and parameters."""
     protocol = Protocol(protocol)
-    _, params, branches = _PROTOCOLS[protocol]
-    spec = ProtocolSpec(protocol=protocol, branch=branches[0], params=params)
+    definition = _PROTOCOLS[protocol]
+    spec = ProtocolSpec(protocol=protocol, branch=definition.branches[0], params=definition.params)
     return replace(spec, **overrides) if overrides else spec
 
 
@@ -270,19 +305,21 @@ def _atoms(branch: Branch) -> tuple[str, ...]:
 
 def target_state(spec: ProtocolSpec, model: BranchModel) -> State:
     """The protocol's target ket, in the space where scoring happens."""
-    if spec.protocol in (Protocol.STATE_TRANSFER, Protocol.SWAP, Protocol.GHZ):
-        # a half-pi pulse ends on the superposition D2, a pi pulse on the transfer D1
-        col = 2 if _PROTOCOLS[spec.protocol].pulse == HALF_PI else 1
-        return State(model.restricted, model.dark[model.branch][:, col].astype(complex))
-    target = _atom_target(spec.protocol, spec.branch, model.space)
+    target = _PROTOCOLS[spec.protocol].target
+    return _target(target if isinstance(target, int)
+                   else _atom_target(target, spec.branch, model.space), model)
+
+
+def _target(target: int | State, model: BranchModel) -> State:
+    """A fresh copy of the target: a column of ``model.dark``, or a built atom-space ket."""
+    if isinstance(target, int):
+        return State(model.restricted, model.dark[model.branch][:, target].astype(complex))
     return State(target.space, target.vec.copy())  # a caller may write to its copy
 
 
 @functools.cache
-def _atom_target(protocol: Protocol, branch: Branch, space: HilbertSpace) -> State:
-    """The atom-space target of bell, threedim and sixdim, built once per key."""
-    # per sector, on a and its cavity-B atom: eg + ge (bell) or eg - gg + ge
-    signs = (1, 0, 1) if protocol == Protocol.BELL else (1, -1, 1)
+def _atom_target(signs: tuple[int, int, int], branch: Branch, space: HilbertSpace) -> State:
+    """The atom-space target of the given per-sector signs, built once per key."""
     atoms = _atoms(branch)
     atom_space = HilbertSpace([sub for sub in space.subsystems if sub.name in atoms])
     # each cavity-B atom rests in its own sector's ground level
@@ -299,75 +336,121 @@ def _atom_target(protocol: Protocol, branch: Branch, space: HilbertSpace) -> Sta
     return target
 
 
-def _regime_flags(spec: ProtocolSpec) -> list[str]:
-    p = spec.params
+class _Plan(NamedTuple):
+    """What a run of one structure key needs besides its parameter point."""
+
+    definition: _Definition
+    target: int | State              # a dark column, or the read-only atom-space target
+    drives: operator.attrgetter      # omega1, then each sector's cavity-B drive
+    one_drive: str | None            # the flag of a cavity-B drive where a is driven alone
+    readout: ReadoutPlan | None      # the fiber gates, the atoms and their negativity
+    refusal: str | None              # the error of a post-selection with probability ~0
+
+
+@functools.cache
+def _plan(protocol: Protocol, branch: Branch, restricted: RestrictedSpace,
+          interpretation: Interpretation, outcome: int, convention: GateConvention) -> _Plan:
+    """The plan of a structure key, built on its first run; it holds no parameter value."""
+    definition = _PROTOCOLS[protocol]
+    readout = refusal = None
+    if definition.readout != "ket" or definition.negativity:
+        gates = []
+        if definition.readout == "fiber":
+            modes = [LAYOUT[sector].mode("F") for sector in branch.sectors]
+            postselect = interpretation == Interpretation.POSTSELECT
+            ops = _POSTSELECTED[convention][outcome] if postselect else _KRAUS[convention]
+            gates = [(mode, ops) for mode in modes]
+            if postselect:
+                outcomes = [outcome] * len(modes)
+                refusal = f"post-selection on outcome(s) {outcomes} has probability ~0"
+        readout = ReadoutPlan(restricted, gates, _atoms(branch),
+                              ("a",) if definition.negativity else None)
+    target = definition.target
+    if not isinstance(target, int):
+        target = _atom_target(target, branch, restricted.parent)
+    drives = [LAYOUT[sector].drive for sector in branch.sectors]
+    one_drive = f"{protocol} assumes {' = '.join(drives)} = 0" if definition.one_drive else None
+    return _Plan(definition, target, operator.attrgetter("omega1", *drives), one_drive,
+                 readout, refusal)
+
+
+def _regime_flags(spec: ProtocolSpec, plan: _Plan) -> list[str]:
+    p, definition = spec.params, plan.definition
     flags = []
     r = zeno_ratio(p)
     if r > 0.1:
         flags.append(f"zeno ratio {r:.3g} above 0.1; dark-sector picture degrades")
-    if spec.protocol == Protocol.BELL and p.g / p.lam > 0.2:
-        flags.append(f"bell regime wants g << lam; g/lam = {p.g / p.lam:.3g}")
-    if spec.protocol in (Protocol.THREE_DIM, Protocol.SIX_DIM) and not math.isclose(
-        p.g, p.lam, rel_tol=1e-12
-    ):
+    if definition.max_g_over_lam is not None and p.g / p.lam > definition.max_g_over_lam:
+        flags.append(f"{spec.protocol} regime wants g << lam; g/lam = {p.g / p.lam:.3g}")
+    if definition.equal_couplings and not math.isclose(p.g, p.lam, rel_tol=1e-12):
         flags.append("equal couplings g = lam assumed by this protocol")
-    drives = [LAYOUT[sector].drive for sector in spec.branch.sectors]
-    if spec.protocol == Protocol.SWAP and not math.isclose(
-        p.omega1, getattr(p, drives[0]), rel_tol=1e-12
-    ):
-        flags.append("swap assumes equal drives on both atoms")
-    if spec.protocol in _ONE_DRIVE and any(getattr(p, drive) != 0 for drive in drives):
-        flags.append(f"{spec.protocol} assumes {' = '.join(drives)} = 0")
-    if spec.protocol == Protocol.GHZ and not (
-        math.isclose(p.omega1, p.omega2, rel_tol=1e-12)
-        and math.isclose(p.omega2, p.omega3, rel_tol=1e-12)
-    ):
-        flags.append("ghz assumes omega1 = omega2 = omega3")
-    if _PROTOCOLS[spec.protocol].pulse == PI and spec.k % 2 == 0:
+    drives = plan.drives(p)
+    if definition.equal_drives is not None and not all(
+            math.isclose(a, b, rel_tol=1e-12) for a, b in zip(drives, drives[1:])):
+        flags.append(definition.equal_drives)
+    if plan.one_drive is not None and any(drives[1:]):
+        flags.append(plan.one_drive)
+    if definition.pulse == PI and spec.k % 2 == 0:
         flags.append("even k: the pi pulse returns the initial state")
     return flags
 
 
 def run(spec: ProtocolSpec, model: BranchModel | None = None) -> ProtocolResult:
-    """Build the branch model, apply the timed pulse, score against the target.
+    """Build the branch model, apply the timed pulse, read out, score against the target.
+
+    Every protocol runs the same stages: timing, propagation, readout and scoring. What
+    differs between protocols is data in their definition, and the readout runs from a plan
+    of index maps built once per structure key (protocol, branch, space, interpretation,
+    outcome, convention) and never from a parameter value.
 
     Pass ``model`` to reuse one construction across several runs (e.g. both
     engines at the same parameter point); it must match the request. A prebuilt
     model decomposes each engine's generator once, on its first run of that engine,
-    and every later run on it reuses that decomposition.
+    and every later run on it reuses that decomposition and the seed's coordinates in it.
+
+    Raises ``ValueError`` for a model that does not match, a pulse that cannot be timed
+    or a post-selection of probability ~0, ``FloatingPointError`` for a phase error
+    above 1e-2 and ``OverflowError`` for a pulse time that is not finite.
     """
     if model is None:
         model = build_branch_model(spec.params, spec.branch)
     elif model.params != spec.params or model.branch != spec.branch:
         raise ValueError("supplied model does not match the protocol spec")
-    tau = solve_timing(spec.params, spec.branch, _PROTOCOLS[spec.protocol].pulse, spec.k)
-    flags = _regime_flags(spec)
+    plan = _plan(spec.protocol, spec.branch, model.restricted, spec.interpretation,
+                 spec.outcome, spec.convention)
 
-    propagator = model_propagator(model, spec.engine == Engine.EFFECTIVE)
-    psi = State(model.restricted, propagator.apply(model.seed().vec, tau))
+    # timing
+    tau = solve_timing(spec.params, spec.branch, plan.definition.pulse, spec.k)
+    flags = _regime_flags(spec, plan)
+
+    # propagation
+    propagator, coords = model_propagator(model, spec.engine == Engine.EFFECTIVE)
+    amps = propagator.evolve(coords, tau)
     flags += propagator.flags(tau)
-    target = target_state(spec, model)
 
-    atoms = _atoms(spec.branch)
-    final: State | DensityOp = psi
-    prob = neg = None
-    if spec.protocol in (Protocol.THREE_DIM, Protocol.SIX_DIM):
-        modes = [LAYOUT[sector].mode("F") for sector in spec.branch.sectors]
-        final, prob = hadamard_and_reduce(psi, modes, atoms, spec.interpretation,
-                                          spec.outcome, spec.convention)
-    elif spec.protocol == Protocol.BELL:
-        final = partial_trace(psi, atoms)
-    if spec.protocol not in (Protocol.STATE_TRANSFER, Protocol.SWAP):
-        # ghz scores its fidelity on the sector ket but its entanglement on the atoms
-        reduced = final if isinstance(final, DensityOp) else partial_trace(psi, atoms)
-        neg = negativity(reduced, ("a",))
+    # readout
+    final = prob = neg = None
+    if plan.definition.readout == "ket":
+        final = State(model.restricted, amps)
+    readout = plan.readout
+    if readout is not None:
+        histories = readout.histories(amps)
+        if plan.refusal is not None:
+            prob = _weight(readout, histories, plan.refusal)
+        rho = _mixture([readout.reduce(h) for h in histories], prob)
+        if final is None:
+            final = DensityOp(readout.space, rho)
+        if plan.definition.negativity:
+            neg = readout.negativity(rho)
 
+    # scoring
+    target = _target(plan.target, model)
     return ProtocolResult(
         spec=spec,
         tau=float(tau),
         fidelity=overlap(final, target),
-        success_probability=None if prob is None else float(prob),
-        negativity=None if neg is None else float(neg),
+        success_probability=prob,
+        negativity=neg,
         flags=tuple(flags),
         final_state=final,
         target=target,

@@ -335,6 +335,14 @@ def _kept_block(space: HilbertSpace, kept: tuple[int, ...]) -> np.ndarray:
     return _index_map(space.dims, kept + rest, _kept_space(space, kept).dim)
 
 
+def _reduction(space: HilbertSpace,
+               kept: tuple[int, ...]) -> tuple[HilbertSpace, np.ndarray | None]:
+    """The space of the ``kept`` factors and the map of a ket's (dk, rest) block: None for
+    a prefix, whose block is a view."""
+    rows = None if kept == tuple(range(len(kept))) else _kept_block(space, kept)
+    return _kept_space(space, kept), rows
+
+
 @functools.cache
 def _partial_transpose(space: HilbertSpace, part: tuple[int, ...]) -> np.ndarray:
     """The flattened density matrix with the row and column axes of ``part`` swapped."""
@@ -358,12 +366,8 @@ def partial_trace(state, keep: Iterable) -> DensityOp:
         kept = _keep_positions(space, tuple(keep))
         if len(kept) == len(space.dims):
             return density(state)
-        reduced = _kept_space(space, kept)
-        if kept == tuple(range(len(kept))):  # a prefix: the block is a view
-            block = state.vec.reshape(reduced.dim, -1)
-        else:
-            block = state.vec.take(_kept_block(space, kept))
-        return DensityOp(reduced, block @ block.conj().T)
+        reduced, rows = _reduction(space, kept)
+        return DensityOp(reduced, _reduce(state.vec, reduced, rows))
 
     if isinstance(state, DensityOp):
         space = state.space
@@ -424,17 +428,22 @@ def negativity(state, partition: Iterable) -> float:
     space = state.space
     if isinstance(space, RestrictedSpace):
         raise SpaceMismatchError("negativity needs a tensor-product space; reduce first")
+    transpose = _transpose_map(space, partition)
+    rho = state if isinstance(state, DensityOp) else density(state)
+    return _negativity(rho.mat, transpose)
+
+
+def _transpose_map(space: HilbertSpace, partition: Iterable) -> np.ndarray:
+    """The partial-transpose map of ``space`` across ``partition``, both checked."""
     if space.dim > NEGATIVITY_DIM_CAP:
         raise ValueError(
             f"negativity capped at dimension {NEGATIVITY_DIM_CAP}, got {space.dim};"
             " trace out spectators first"
         )
-    rho = state if isinstance(state, DensityOp) else density(state)
     part = _keep_positions(space, tuple(partition))
     if not part or len(part) == len(space.dims):
         raise InvalidSubsystemError("partition must be a proper nonempty subset")
-    evals = np.linalg.eigvalsh(rho.mat.take(_partial_transpose(space, part)))
-    return float(np.sum(np.abs(evals[evals < 0])))
+    return _partial_transpose(space, part)
 
 
 # ---------------------------------------------------------------------------
@@ -455,15 +464,115 @@ def apply_on_mode(state: State, mode: str, mat: np.ndarray) -> State:
         raise ValueError(f"mode operator must be 2x2, got shape {mat.shape}")
     state = embed(state)
     space = state.space
+    front = _kept_block(space, (_mode_axis(space, mode),))
+    out = np.empty(space.dim, dtype=complex)
+    out[front] = _gate(mat, state.vec.take(front))
+    return State(space, out)
+
+
+def _mode_axis(space: HilbertSpace, mode: str) -> int:
     axis = space.subsystem_index(mode)
     sub = space.subsystems[axis]
     if not sub.is_mode or sub.dim != 2:
         raise InvalidSubsystemError(
             f"{mode!r} is not a cutoff-1 boson mode; mode gates are only defined there"
         )
+    return axis
+
+
+def _inverse(index: np.ndarray) -> np.ndarray:
+    """Where each flat index sits in ``index``: ``a.take(index).take(_inverse(index))`` is ``a``."""
+    inverse = np.empty(index.size, dtype=np.intp)
+    inverse[index.ravel()] = np.arange(index.size, dtype=np.intp)
+    return inverse
+
+
+class ReadoutPlan:
+    """The readout of kets of one space: each mode's gates, one coherent history per
+    operator, then the reduction of each history to the ``keep`` factors and the
+    negativity of a reduction across ``part`` of them.
+
+    A plan holds index maps and operators, never an amplitude, and its arrays are
+    read-only; build one per structure and reuse it. Its names are checked when it is
+    built; its methods check nothing and take the kets and matrices of its own spaces.
+    Each kernel receives the operand that :func:`apply_on_mode`, :func:`partial_trace` and
+    :func:`negativity` give it, so the output bytes are theirs. Restricted kets go straight
+    into the first operand, and the histories pass from one mode's operand to the next
+    without the parent vector.
+    """
+
+    def __init__(self, space: HilbertSpace | RestrictedSpace,
+                 gates: Sequence[tuple[str, Sequence[np.ndarray]]] = (),
+                 keep: Iterable | None = None, part: Iterable | None = None):
+        restricted = isinstance(space, RestrictedSpace)
+        parent = space.parent if restricted else space
+        # where a ket's coordinates sit in the first array: the first gate's operand, or
+        # with no gates the parent vector
+        into = np.array(space.indices, dtype=np.intp) if restricted else np.arange(space.dim)
+        self._shape = (2, parent.dim // 2) if gates else (parent.dim,)
+        self._ops, self._gathers, self._back = [], [], None
+        for mode, ops in gates:
+            front = _kept_block(parent, (_mode_axis(parent, mode),))
+            inverse = _inverse(front)
+            if self._back is None:
+                into = inverse[into]
+            # the next operand, gathered from the last result; None: the first operand
+            self._gathers.append(None if self._back is None else self._back[front])
+            self._ops.append(tuple(ops))
+            self._back = inverse  # the last result back in parent order
+        self._into = into
+        self.space = self._rows = self._transpose = None
+        if keep is not None:
+            kept = _keep_positions(parent, tuple(keep))
+            if len(kept) == len(parent.dims):
+                raise InvalidSubsystemError("a readout must trace out some factor")
+            self.space, self._rows = _reduction(parent, kept)
+            if part is not None:
+                self._transpose = _transpose_map(self.space, part)
+        for array in (into, self._back, *self._gathers):
+            if array is not None:
+                array.setflags(write=False)
+
+    def histories(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Each history of the ket ``vec`` (coordinates in the plan's space) as a parent-space
+        vector, in :func:`apply_on_mode` order: per mode, operator-major."""
+        first = np.zeros(self._shape, dtype=complex)
+        first.put(self._into, vec)
+        results = [first]
+        for ops, gather in zip(self._ops, self._gathers):
+            operands = results if gather is None else [r.take(gather) for r in results]
+            results = [_gate(op, x) for op in ops for x in operands]
+        return results if self._back is None else [r.take(self._back) for r in results]
+
+    def weight(self, histories: Sequence[np.ndarray]) -> float:
+        """The summed squared norms of ``histories``."""
+        return sum(float(np.linalg.norm(h)) ** 2 for h in histories)
+
+    def reduce(self, vec: np.ndarray) -> np.ndarray:
+        """The density matrix of a parent-space ket on the kept factors."""
+        return _reduce(vec, self.space, self._rows)
+
+    def negativity(self, mat: np.ndarray) -> float:
+        """The negativity across ``part`` of a density matrix on the kept factors."""
+        return _negativity(mat, self._transpose)
+
+
+# The kernels: the public functions above and ReadoutPlan make every numeric call here.
+
+def _gate(mat: np.ndarray, operand: np.ndarray) -> np.ndarray:
     # the one np.dot that np.tensordot(mat, tensor, axes=([1], [axis])) makes, on the
-    # same (2, dim / 2) operand, the mode's axis in front; the result goes back the same way
-    front = _kept_block(space, (axis,))
-    out = np.empty(space.dim, dtype=complex)
-    out[front] = np.dot(mat, state.vec.take(front))
-    return State(space, out)
+    # same (2, dim / 2) operand, the mode's axis in front
+    return np.dot(mat, operand)
+
+
+def _reduce(vec: np.ndarray, reduced: HilbertSpace, rows: np.ndarray | None) -> np.ndarray:
+    # the density matrix of the (dk, rest) block of a parent-space ket; see _reduction
+    block = vec.reshape(reduced.dim, -1) if rows is None else vec.take(rows)
+    return block @ block.conj().T
+
+
+def _negativity(mat: np.ndarray, transpose: np.ndarray) -> float:
+    evals = np.linalg.eigvalsh(mat.take(transpose))
+    # the sum of |negative eigenvalues|: rounding is symmetric in sign, so this is the sum
+    # of their absolute values, and an empty sum stays +0.0
+    return 0.0 - float(np.add.reduce(evals[evals < 0]))

@@ -4,6 +4,7 @@ The Zeno limit follows Facchi & Pascazio, PRL 89, 080401 (2002).
 """
 
 import functools
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -12,8 +13,9 @@ from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import expm_multiply
 
 import zenocavity as zc
+from zenocavity.model import LAYOUT
 from zenocavity.protocols import ZERO_PROBABILITY_TOL
-from zenocavity.spaces import apply_on_mode
+from zenocavity.spaces import apply_on_mode, overlap
 
 
 def chain_hamiltonian(params: zc.UniformParams, branch: zc.Branch) -> np.ndarray:
@@ -268,3 +270,101 @@ def pulse_time(params: zc.UniformParams, sector: zc.Branch, end: int, arrival: i
     found = minimize_scalar(lambda s: slope_squared(t + s), bounds=(-dt, dt),
                             method="bounded", options={"xatol": 1e-14 * dt})
     return t + found.x
+
+
+# ---------------------------------------------------------------------------
+# run() as a composition of the public readout functions
+# ---------------------------------------------------------------------------
+
+_PI_PULSE = (zc.Protocol.SWAP, zc.Protocol.GHZ)  # the others end on a half-pi pulse
+_ONE_DRIVE = (zc.Protocol.STATE_TRANSFER, zc.Protocol.THREE_DIM, zc.Protocol.BELL,
+              zc.Protocol.SIX_DIM)
+
+
+def _reference_flags(spec: zc.ProtocolSpec) -> list[str]:
+    """The regime flags of ``spec``, one ``if`` per protocol assumption."""
+    p = spec.params
+    flags = []
+    r = zc.zeno_ratio(p)
+    if r > 0.1:
+        flags.append(f"zeno ratio {r:.3g} above 0.1; dark-sector picture degrades")
+    if spec.protocol == zc.Protocol.BELL and p.g / p.lam > 0.2:
+        flags.append(f"bell regime wants g << lam; g/lam = {p.g / p.lam:.3g}")
+    if spec.protocol in (zc.Protocol.THREE_DIM, zc.Protocol.SIX_DIM) and not math.isclose(
+            p.g, p.lam, rel_tol=1e-12):
+        flags.append("equal couplings g = lam assumed by this protocol")
+    drives = [LAYOUT[sector].drive for sector in spec.branch.sectors]
+    if spec.protocol == zc.Protocol.SWAP and not math.isclose(
+            p.omega1, getattr(p, drives[0]), rel_tol=1e-12):
+        flags.append("swap assumes equal drives on both atoms")
+    if spec.protocol in _ONE_DRIVE and any(getattr(p, drive) != 0 for drive in drives):
+        flags.append(f"{spec.protocol} assumes {' = '.join(drives)} = 0")
+    if spec.protocol == zc.Protocol.GHZ and not (
+            math.isclose(p.omega1, p.omega2, rel_tol=1e-12)
+            and math.isclose(p.omega2, p.omega3, rel_tol=1e-12)):
+        flags.append("ghz assumes omega1 = omega2 = omega3")
+    if spec.protocol in _PI_PULSE and spec.k % 2 == 0:
+        flags.append("even k: the pi pulse returns the initial state")
+    return flags
+
+
+def _reference_target(spec: zc.ProtocolSpec, model: zc.BranchModel) -> zc.State:
+    """The target ket: a dark column of the sector, or the atom state built level by level."""
+    if spec.protocol in (zc.Protocol.STATE_TRANSFER, zc.Protocol.SWAP, zc.Protocol.GHZ):
+        col = 2 if spec.protocol == zc.Protocol.STATE_TRANSFER else 1
+        return zc.State(model.restricted, model.dark[model.branch][:, col].astype(complex))
+    signs = (1, 0, 1) if spec.protocol == zc.Protocol.BELL else (1, -1, 1)
+    atoms = ("a", *(LAYOUT[sector].atom for sector in spec.branch.sectors))
+    atom_space = zc.HilbertSpace([sub for sub in model.space.subsystems if sub.name in atoms])
+    rest = {LAYOUT[sector].atom: LAYOUT[sector].level("g") for sector in spec.branch.sectors}
+    terms = []
+    for sector in spec.branch.sectors:
+        layout = LAYOUT[sector]
+        e, g = layout.level("e"), layout.level("g")
+        for sign, (level_a, level_b) in zip(signs, ((e, g), (g, g), (g, e))):
+            if sign:
+                terms.append(sign * atom_space.ket(**{**rest, "a": level_a, layout.atom: level_b}))
+    return sum(terms[1:], start=terms[0]) * (1 / math.sqrt(len(terms)))
+
+
+def reference_run(spec: zc.ProtocolSpec, model: zc.BranchModel | None = None):
+    """``run(spec, model)`` as the package wrote it with one branch per protocol: a fresh
+    :class:`Propagator` for the engine, then the public ``hadamard_and_reduce``,
+    ``partial_trace``, ``negativity`` and ``overlap``."""
+    if model is None:
+        model = zc.build_branch_model(spec.params, spec.branch)
+    elif model.params != spec.params or model.branch != spec.branch:
+        raise ValueError("supplied model does not match the protocol spec")
+    pulse = zc.PI if spec.protocol in _PI_PULSE else zc.HALF_PI
+    tau = zc.solve_timing(spec.params, spec.branch, pulse, spec.k)
+    flags = _reference_flags(spec)
+
+    effective = spec.engine == zc.Engine.EFFECTIVE
+    propagator = zc.Propagator(zc.effective_generator(model) if effective else model.total)
+    psi = zc.State(model.restricted, propagator.apply(model.seed().vec, tau))
+    flags += propagator.flags(tau)
+    target = _reference_target(spec, model)
+
+    atoms = ("a", *(LAYOUT[sector].atom for sector in spec.branch.sectors))
+    final = psi
+    prob = neg = None
+    if spec.protocol in (zc.Protocol.THREE_DIM, zc.Protocol.SIX_DIM):
+        modes = [LAYOUT[sector].mode("F") for sector in spec.branch.sectors]
+        final, prob = zc.hadamard_and_reduce(psi, modes, atoms, spec.interpretation,
+                                             spec.outcome, spec.convention)
+    elif spec.protocol == zc.Protocol.BELL:
+        final = zc.partial_trace(psi, atoms)
+    if spec.protocol not in (zc.Protocol.STATE_TRANSFER, zc.Protocol.SWAP):
+        reduced = final if isinstance(final, zc.DensityOp) else zc.partial_trace(psi, atoms)
+        neg = zc.negativity(reduced, ("a",))
+
+    return zc.ProtocolResult(
+        spec=spec,
+        tau=float(tau),
+        fidelity=overlap(final, target),
+        success_probability=None if prob is None else float(prob),
+        negativity=None if neg is None else float(neg),
+        flags=tuple(flags),
+        final_state=final,
+        target=target,
+    )

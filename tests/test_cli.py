@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -877,6 +878,41 @@ assert gc.get_freeze_count() > 0
 
 def test_the_entry_freezes_the_heap_on_every_way_out():
     _fresh_process(_ENTRY_FREEZES)
+
+
+# The flag texts a user greps for, each on the stream its command writes it to: the
+# regime flags in a protocol's JSON, and a phase error past 1e-6 on every engine and command.
+_FLAG_TEXTS = {
+    "bell-second-drive": (["protocol", "--name", "bell", "--omega2", "0.01"], "stdout",
+                          '"bell assumes omega2 = 0"'),
+    "bell-default": (["protocol", "--name", "bell"], "stdout", '"flags": []'),
+    "protocol-phase-error": (["protocol", "--name", "bell", "--engine", "full",
+                              "--omega1", "1e-13"], "stdout",
+                             '"phase error eps*max|E|*|t| = 0.00701'),
+    **{f"sweep-{engine}-phase-error": (
+        ["sweep", "--name", "bell", "--engine", engine, "--axis", "omega1:log:1e-13:1e-11:3"],
+        "stderr", "flag: omega1=1e-13: phase error eps*max|E|*|t| = 0.00701")
+       for engine in ("full", "effective")},
+    "compare-phase-error": (["compare", "--omega1", "1e-11"], "stderr",
+                            "phase error eps*max|E|*|t| = "),
+}
+
+
+@pytest.mark.parametrize("argv, stream, text", _FLAG_TEXTS.values(), ids=_FLAG_TEXTS)
+def test_each_flag_text_reaches_its_stream(capsys, argv, stream, text):
+    code, out, err = invoke(argv, capsys)
+    assert code == 0
+    assert text in {"stdout": out, "stderr": err}[stream]
+
+
+@pytest.mark.parametrize("argv, stream, text", _FLAG_TEXTS.values(), ids=_FLAG_TEXTS)
+def test_the_console_script_prints_each_flag_text(argv, stream, text):
+    script = shutil.which("zenocavity")
+    if script is None:
+        pytest.skip("the zenocavity console script is not installed")
+    done = subprocess.run([script, *argv], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert text in getattr(done, stream)
 
 
 def test_the_console_script_is_the_module_entry():

@@ -268,11 +268,35 @@ def test_compare_decomposes_each_engine_once_and_runs_reuse_it(monkeypatch, st_m
 @pytest.mark.parametrize("effective", [False, True])
 def test_a_models_decomposition_is_read_only(st_model, effective):
     model = zc.build_branch_model(st_model.params, st_model.branch)  # a write must not leak
-    propagator = dynamics.model_propagator(model, effective)
-    assert dynamics.model_propagator(model, effective) is propagator
-    for array in (propagator.evals, propagator.evecs):
+    propagator, coords = dynamics.model_propagator(model, effective)
+    assert dynamics.model_propagator(model, effective)[0] is propagator
+    for array in (propagator.evals, propagator.evecs, coords):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
+
+
+@pytest.mark.parametrize("block", ["total", "strong", "drive"])
+def test_a_write_to_a_model_block_after_a_run_raises(st_model, block):
+    # each engine's decomposition and seed coordinates are cached per model, so a write
+    # that a later run would not see must fail loudly
+    model = zc.build_branch_model(st_model.params, st_model.branch)
+    for engine in Engine:
+        run(default_spec("state_transfer", params=model.params, engine=engine), model)
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(model, block)[0, 0] = 7.0
+
+
+@pytest.mark.parametrize("offset, raises", [(0.0, False), (5e-13, False), (2e-12, True),
+                                            (1e-9, True)])
+def test_combined_timing_holds_omega2_equal_omega3_to_a_relative_1e_12(offset, raises):
+    params = zc.UniformParams(g=1.0, lam=1.0, omega1=0.01, omega2=0.01,
+                              omega3=0.01 * (1 + offset))
+    if raises:
+        with pytest.raises(ValueError, match="combined timing needs omega2 == omega3"):
+            zc.solve_timing(params, zc.Branch.COMBINED)
+    else:  # one pulse clock: the left sector's
+        assert zc.solve_timing(params, zc.Branch.COMBINED) == zc.solve_timing(params,
+                                                                              zc.Branch.LEFT)
 
 
 def test_a_models_decompositions_die_with_it():

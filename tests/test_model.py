@@ -337,8 +337,10 @@ def test_cold_builds_assemble_nothing(space1, monkeypatch):
 
 def test_callers_cannot_corrupt_the_cached_sector(space1):
     first = zc.build_branch_model(PARAMS, zc.Branch.COMBINED, space=space1)
-    for array in (first.total, first.strong, first.drive, first.seed().vec):
-        array[...] = 7.0
+    for block in (first.total, first.strong, first.drive):
+        with pytest.raises(ValueError, match="read-only"):
+            block[...] = 7.0
+    first.seed().vec[...] = 7.0  # a copy of its own
     with pytest.raises(TypeError):
         first.positions[zc.Branch.LEFT] = (0,) * 7
     for cols in first.dark.values():

@@ -169,15 +169,16 @@ def test_sixdim_effective(sixdim_model):
 def test_a_readout_passes_each_history_over_each_mode_once(monkeypatch, protocol, convention,
                                                            passes):
     # one pass per Kraus history and mode: under postselect the outcome projector rides
-    # along with the gate instead of taking a second walk over the modes
+    # along with the gate instead of taking a second walk over the modes; each pass is one
+    # call of the gate kernel
     calls = []
-    real = zc.protocols.apply_on_mode
+    real = zc.spaces._gate
 
     def counted(*args):
-        calls.append(args[1])
+        calls.append(args[0])
         return real(*args)
 
-    monkeypatch.setattr(zc.protocols, "apply_on_mode", counted)
+    monkeypatch.setattr(zc.spaces, "_gate", counted)
     for interpretation in Interpretation:
         calls.clear()
         run(default_spec(protocol, convention=convention, interpretation=interpretation))
@@ -470,15 +471,17 @@ def test_writing_to_a_result_does_not_reach_the_next_run(spec):
     assert again.target.vec.tobytes() == target.tobytes()
 
 
-def _outcome(spec, model=None):
-    """A run's JSON, final-state bytes and target bytes, or its error."""
+def _outcome(spec, model=None, function=run):
+    """A run's JSON, final-state type, space and bytes and target bytes, or the type and
+    message of an error ``run()`` documents; any other exception fails the test."""
     try:
-        result = run(spec, model)
-    except ValueError as exc:
-        return "error", str(exc)
+        result = function(spec, model)
+    except (ValueError, FloatingPointError, OverflowError) as exc:
+        return type(exc), str(exc)
     final = result.final_state
     array = final.vec if isinstance(final, zc.State) else final.mat
-    return json.dumps(result.to_dict()), array.tobytes(), result.target.vec.tobytes()
+    return (json.dumps(result.to_dict()), type(final), final.space, array.dtype, array.tobytes(),
+            result.target.space, result.target.vec.tobytes())
 
 
 @settings(max_examples=40)
@@ -504,6 +507,41 @@ def test_runs_on_one_shared_model_match_runs_on_fresh_models_byte_for_byte(pair,
     order.shuffle(sequence)
     for i in sequence:
         assert _outcome(specs[i], model) == fresh[i]
+
+
+# drive ratios in the Zeno regime, out of it, and past the phase-error flag and failure
+_LOG_RATIO = st.floats(math.log(1e-14), math.log(0.5))
+
+
+@settings(max_examples=150)
+@given(pair=st.sampled_from([(p, b) for p in Protocol for b in _PROTOCOLS[p].branches]),
+       couplings=st.one_of(st.none(), st.tuples(st.floats(0.3, 3.0), st.floats(0.3, 3.0))),
+       log_r=_LOG_RATIO,
+       seconds=st.tuples(*[st.one_of(st.sampled_from(["zero", "equal"]), _LOG_RATIO)
+                           for _ in range(2)]),
+       one_clock=st.booleans(),
+       choices=st.lists(st.tuples(st.sampled_from(list(Engine)),
+                                  st.sampled_from(list(Interpretation)), st.integers(0, 1),
+                                  st.sampled_from(list(GateConvention)), st.integers(1, 3)),
+                        min_size=1, max_size=4))
+def test_run_is_the_reference_run_byte_for_byte(pair, couplings, log_r, seconds, one_clock,
+                                                choices):
+    # one model per example, so that later specs take the warm path of the first
+    protocol, branch = pair
+    base = default_spec(protocol, branch=branch)
+    g, lam = (base.params.g, base.params.lam) if couplings is None else couplings
+    omega1 = math.exp(log_r) * min(g, lam)
+    drives = [0.0 if s == "zero" else omega1 if s == "equal" else math.exp(s) * min(g, lam)
+              for s in seconds]
+    if one_clock:  # else the combined branch refuses its timing
+        drives[1] = drives[0]
+    params = zc.UniformParams(g=g, lam=lam, omega1=omega1, omega2=drives[0], omega3=drives[1])
+    model = zc.build_branch_model(params, branch)
+    for engine, interpretation, outcome, convention, k in choices:
+        spec = replace(base, params=params, engine=engine, interpretation=interpretation,
+                       outcome=outcome, convention=convention, k=k)
+        assert _outcome(spec, model) == _outcome(spec, model, oracles.reference_run)
+    assert _outcome(spec) == _outcome(spec, None, oracles.reference_run)
 
 
 def test_a_warm_run_builds_no_space_and_no_ket(monkeypatch):
@@ -551,6 +589,50 @@ def test_regime_flags():
 
     clean = run(default_spec("state_transfer", engine=Engine.EFFECTIVE))
     assert clean.flags == ()
+
+
+# (protocol, branch, the field offset, the field it must equal, the flag when they differ)
+_EQUALITIES = [
+    ("threedim", "left", "g", "lam", "equal couplings g = lam assumed by this protocol"),
+    ("sixdim", "combined", "g", "lam", "equal couplings g = lam assumed by this protocol"),
+    ("swap", "left", "omega2", "omega1", "swap assumes equal drives on both atoms"),
+    ("swap", "right", "omega3", "omega1", "swap assumes equal drives on both atoms"),
+    ("ghz", "combined", "omega1", "omega2", "ghz assumes omega1 = omega2 = omega3"),
+]
+
+
+@pytest.mark.parametrize("offset, flagged", [(0.0, False), (5e-13, False), (2e-12, True),
+                                             (1e-9, True)])
+@pytest.mark.parametrize("protocol, branch, field, reference, flag", _EQUALITIES,
+                         ids=[f"{p}-{b}" for p, b, *_ in _EQUALITIES])
+def test_an_assumed_equality_holds_to_a_relative_1e_12(protocol, branch, field, reference,
+                                                       flag, offset, flagged):
+    spec = default_spec(protocol, branch=branch)
+    value = getattr(spec.params, reference) * (1 + offset)
+    flags = run(replace(spec, params=replace(spec.params, **{field: value}))).flags
+    assert (flag in flags) == flagged
+
+
+@pytest.mark.parametrize("probability, refused", [(1.01e-12, False), (2e-12, False),
+                                                  (0.99e-12, True), (1e-13, True)])
+@pytest.mark.parametrize("convention, outcome, photons", [
+    (GateConvention.UNITARY, 0, 0),       # H|0> = (|0> + |1>)/sqrt2: outcome 0 keeps half
+    (GateConvention.BEAMSPLITTER, 1, 1),  # a photon stays with amplitude -1/sqrt2
+])
+def test_a_post_selection_is_refused_below_a_probability_of_1e_12(space1, probability, refused,
+                                                                  convention, outcome, photons):
+    # the only amplitude, sqrt(2 p), on the fiber photon number `photons` gives outcome
+    # `outcome` probability p
+    atoms = dict(a="g_l", b="g_l", c="g_r")
+    psi = space1.ket(**atoms, F_l=photons) * math.sqrt(2 * probability)
+    args = (psi, ["F_l"], ("a", "b"), Interpretation.POSTSELECT, outcome, convention)
+    if refused:
+        refusal = f"outcome(s) [{outcome}] has probability ~0"
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            hadamard_and_reduce(*args)
+    else:
+        _, p = hadamard_and_reduce(*args)
+        assert p == pytest.approx(probability, rel=1e-12)
 
 
 # the protocols that assume each sector's cavity-B drive is zero

@@ -466,13 +466,14 @@ def test_a_warm_run_resolves_no_keep_set():
              for p, b in (("bell", "right"), ("threedim", "left"), ("ghz", "combined"),
                           ("sixdim", "combined"))]
     for spec in specs:
-        zc.run(spec)  # the first run of a structure key may resolve its keep sets
+        zc.run(spec)  # the first run of a structure key resolves its keep sets into its plan
+    plans = zc.protocols._plan.cache_info()
     before = spaces._keep_positions.cache_info()
     for spec in specs:
         zc.run(replace(spec, params=replace(spec.params, g=1.1 * spec.params.g)))
-    after = spaces._keep_positions.cache_info()
-    assert after.misses == before.misses
-    assert after.hits - before.hits == 2 * len(specs)  # one partial trace, one negativity each
+    assert spaces._keep_positions.cache_info() == before  # not even a cache hit
+    after = zc.protocols._plan.cache_info()
+    assert (after.misses, after.hits - plans.hits) == (plans.misses, len(specs))
 
 
 @pytest.mark.parametrize("keep, error, message", [
