@@ -34,7 +34,6 @@ class Propagator:
         require_hermitian(h, what="Hamiltonian")
         self.evals, self.evecs = eigh(h)
         self._radius = float(np.max(np.abs(self.evals)))
-        self._rates = -1j * self.evals  # the phases at t are exp(rates * t)
 
     def _phase_error(self, t: float) -> float:
         """eps * max|E| * |t|: the absolute error of the largest phase E * t."""
@@ -47,7 +46,7 @@ class Propagator:
         if not error <= 1e-2:
             raise FloatingPointError(
                 f"phase error eps*max|E|*|t| = {error:.3g} exceeds 1e-2 at t = {t:.3g}")
-        return np.exp(self._rates * t)
+        return np.exp(-1j * self.evals * t)
 
     def apply(self, vec: np.ndarray, t: float) -> np.ndarray:
         vec = np.asarray(vec, dtype=complex)
@@ -158,7 +157,7 @@ def model_propagator(model: BranchModel, effective: bool) -> tuple[Propagator, n
     if entry is None:
         propagator = Propagator(effective_generator(model) if effective else model.total)
         coords = propagator.evecs.conj().T @ model.seed().vec
-        for array in (propagator.evals, propagator.evecs, propagator._rates, coords):
+        for array in (propagator.evals, propagator.evecs, coords):
             array.setflags(write=False)
         entry = propagators[effective] = propagator, coords
     return entry
@@ -172,7 +171,7 @@ HALF_PI = "half_pi"   # (2k - 1) * pi/2 : seed -> superposition dark state
 PI = "pi"             # k * pi, odd k   : seed -> transferred dark state
 
 
-def solve_timing(params: UniformParams, branch: Branch, condition: str = HALF_PI,
+def solve_timing(params: UniformParams, branch: Branch | str, condition: str = HALF_PI,
                  k: int = 1) -> float:
     """Pulse duration solving the requested phase condition.
 
@@ -182,6 +181,7 @@ def solve_timing(params: UniformParams, branch: Branch, condition: str = HALF_PI
     For the combined branch the two sectors share one clock, so their
     second drives must be equal.
     """
+    branch = Branch(branch)
     if k < 1 or int(k) != k:
         raise ValueError(f"k must be a positive integer, got {k}")
     if condition == HALF_PI:
@@ -224,12 +224,11 @@ def compare_full_vs_effective(model: BranchModel, taus) -> list[ComparisonRow]:
     Returns ``|<psi_eff(tau)|psi_full(tau)>|^2`` and the larger phase error's flag per
     requested duration; the gap measures how far the operating point is from the Zeno limit.
     """
-    seed = model.seed().vec
-    (full, _), (eff, _) = model_propagator(model, False), model_propagator(model, True)
+    (full, full_coords), (eff, eff_coords) = (model_propagator(model, e) for e in (False, True))
     rows = []
     for tau in taus:
         t = float(tau)
-        f = abs(np.vdot(eff.apply(seed, t), full.apply(seed, t))) ** 2
+        f = abs(np.vdot(eff.evolve(eff_coords, t), full.evolve(full_coords, t))) ** 2
         worse = max(full, eff, key=lambda p: p._phase_error(t))
         rows.append(ComparisonRow(t, float(f), tuple(worse.flags(t))))
     return rows

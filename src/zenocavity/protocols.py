@@ -49,7 +49,6 @@ from .spaces import (
     RestrictedSpace,
     State,
     overlap,
-    partial_trace,
 )
 
 ZERO_PROBABILITY_TOL = 1e-12
@@ -121,6 +120,10 @@ def hadamard_and_reduce(
     is projected on its Fock ``outcome`` (an int, or one int per mode) after
     the gate; outcome probabilities over {0,1}^modes sum to one under both
     gate conventions.
+
+    The modes and ``keep`` are checked before any arithmetic: a ``keep`` that names
+    every factor raises ``InvalidSubsystemError`` (a readout must trace out some factor),
+    and a bad ``keep`` raises its own error even where the outcome has probability ~0.
     """
     interpretation = Interpretation(interpretation)
     convention = GateConvention(convention)
@@ -138,43 +141,42 @@ def hadamard_and_reduce(
     if any(_integer(o) not in (0, 1) for o in outcomes):
         raise ValueError(f"outcomes must be 0 or 1, got {outcomes}")
 
-    # each history is one coherent sequence, one Kraus operator per mode; histories add
-    # incoherently
-    space = state.space
     postselect = interpretation == Interpretation.POSTSELECT
-    gates = _gates(space, tuple(modes), tuple(map(int, outcomes)) if postselect else None,
-                   convention)
-    histories = gates.histories(state.vec)
-    prob = None
-    if postselect:
-        prob = _weight(gates, histories,
-                       f"post-selection on outcome(s) {outcomes} has probability ~0")
-    parent = space.parent if isinstance(space, RestrictedSpace) else space
-    reduced = [partial_trace(State(parent, h), keep) for h in histories]
-    return DensityOp(reduced[0].space, _mixture([r.mat for r in reduced], prob)), prob
+    readout = _readout(state.space, tuple(modes),
+                       tuple(map(int, outcomes)) if postselect else None, convention,
+                       tuple(keep), None)
+    refusal = f"post-selection on outcome(s) {outcomes} has probability ~0"
+    rho, prob = _read(readout, state.vec, refusal if postselect else None)
+    return DensityOp(readout.space, rho), prob
 
 
 @functools.cache
-def _gates(space, modes: tuple[str, ...], outcomes: tuple[int, ...] | None,
-           convention: GateConvention) -> ReadoutPlan:
-    """The gate of each mode, post-selected on its outcome unless ``outcomes`` is None."""
+def _readout(space, modes: tuple[str, ...], outcomes: tuple[int, ...] | None,
+             convention: GateConvention, keep: tuple, part: tuple | None) -> ReadoutPlan:
+    """The gate of each mode, post-selected on its outcome unless ``outcomes`` is None, then
+    the reduction to ``keep`` and the negativity across ``part``; built once per key."""
     return ReadoutPlan(space, [(mode, _KRAUS[convention] if outcomes is None
                                 else _POSTSELECTED[convention][o])
-                               for mode, o in zip(modes, outcomes or modes)])
+                               for mode, o in zip(modes, outcomes or modes)], keep, part)
 
 
-def _weight(readout: ReadoutPlan, histories, refusal: str) -> float:
-    """The post-selection probability of ``histories``, refused with ``refusal`` if ~0."""
-    prob = readout.weight(histories)
-    if prob < ZERO_PROBABILITY_TOL:
-        raise ValueError(refusal)
-    return prob
+def _read(readout: ReadoutPlan, vec: np.ndarray,
+          refusal: str | None) -> tuple[np.ndarray, float | None]:
+    """The reduced state of the ket ``vec`` and its post-selection probability.
 
-
-def _mixture(mats, prob):
-    """The histories' reduced states summed in order, normalized when post-selected."""
+    Each history is one coherent sequence, one operator per mode; their reductions add
+    incoherently, in order. With a ``refusal`` (the error of a probability ~0) the sum is
+    normalized by the histories' summed squared norms; without one the probability is None.
+    """
+    histories = readout.histories(vec)
+    prob = None
+    if refusal is not None:
+        prob = sum(float(np.linalg.norm(h)) ** 2 for h in histories)
+        if prob < ZERO_PROBABILITY_TOL:
+            raise ValueError(refusal)
+    mats = [readout.reduce(h) for h in histories]
     rho = sum(mats[1:], start=mats[0])
-    return rho if prob is None else rho / prob
+    return (rho if prob is None else rho / prob), prob
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +307,8 @@ def _atoms(branch: Branch) -> tuple[str, ...]:
 
 def target_state(spec: ProtocolSpec, model: BranchModel) -> State:
     """The protocol's target ket, in the space where scoring happens."""
-    target = _PROTOCOLS[spec.protocol].target
-    return _target(target if isinstance(target, int)
-                   else _atom_target(target, spec.branch, model.space), model)
+    return _target(_plan(spec.protocol, spec.branch, model.restricted, spec.interpretation,
+                         spec.outcome, spec.convention).target, model)
 
 
 def _target(target: int | State, model: BranchModel) -> State:
@@ -354,17 +355,14 @@ def _plan(protocol: Protocol, branch: Branch, restricted: RestrictedSpace,
     definition = _PROTOCOLS[protocol]
     readout = refusal = None
     if definition.readout != "ket" or definition.negativity:
-        gates = []
+        modes, outcomes = (), None
         if definition.readout == "fiber":
-            modes = [LAYOUT[sector].mode("F") for sector in branch.sectors]
-            postselect = interpretation == Interpretation.POSTSELECT
-            ops = _POSTSELECTED[convention][outcome] if postselect else _KRAUS[convention]
-            gates = [(mode, ops) for mode in modes]
-            if postselect:
-                outcomes = [outcome] * len(modes)
-                refusal = f"post-selection on outcome(s) {outcomes} has probability ~0"
-        readout = ReadoutPlan(restricted, gates, _atoms(branch),
-                              ("a",) if definition.negativity else None)
+            modes = tuple(LAYOUT[sector].mode("F") for sector in branch.sectors)
+            if interpretation == Interpretation.POSTSELECT:
+                outcomes = (outcome,) * len(modes)
+                refusal = f"post-selection on outcome(s) {list(outcomes)} has probability ~0"
+        readout = _readout(restricted, modes, outcomes, convention, _atoms(branch),
+                           ("a",) if definition.negativity else None)
     target = definition.target
     if not isinstance(target, int):
         target = _atom_target(target, branch, restricted.parent)
@@ -434,10 +432,7 @@ def run(spec: ProtocolSpec, model: BranchModel | None = None) -> ProtocolResult:
         final = State(model.restricted, amps)
     readout = plan.readout
     if readout is not None:
-        histories = readout.histories(amps)
-        if plan.refusal is not None:
-            prob = _weight(readout, histories, plan.refusal)
-        rho = _mixture([readout.reduce(h) for h in histories], prob)
+        rho, prob = _read(readout, amps, plan.refusal)
         if final is None:
             final = DensityOp(readout.space, rho)
         if plan.definition.negativity:

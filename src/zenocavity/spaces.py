@@ -490,11 +490,12 @@ def _inverse(index: np.ndarray) -> np.ndarray:
 class ReadoutPlan:
     """The readout of kets of one space: each mode's gates, one coherent history per
     operator, then the reduction of each history to the ``keep`` factors and the
-    negativity of a reduction across ``part`` of them.
+    negativity of a reduction across ``part`` of them, unless ``part`` is None.
 
     A plan holds index maps and operators, never an amplitude, and its arrays are
     read-only; build one per structure and reuse it. Its names are checked when it is
-    built; its methods check nothing and take the kets and matrices of its own spaces.
+    built, and ``keep`` must leave out some factor; its methods check nothing and take the
+    kets and matrices of its own spaces.
     Each kernel receives the operand that :func:`apply_on_mode`, :func:`partial_trace` and
     :func:`negativity` give it, so the output bytes are theirs. Restricted kets go straight
     into the first operand, and the histories pass from one mode's operand to the next
@@ -502,8 +503,8 @@ class ReadoutPlan:
     """
 
     def __init__(self, space: HilbertSpace | RestrictedSpace,
-                 gates: Sequence[tuple[str, Sequence[np.ndarray]]] = (),
-                 keep: Iterable | None = None, part: Iterable | None = None):
+                 gates: Sequence[tuple[str, Sequence[np.ndarray]]], keep: Iterable,
+                 part: Iterable | None):
         restricted = isinstance(space, RestrictedSpace)
         parent = space.parent if restricted else space
         # where a ket's coordinates sit in the first array: the first gate's operand, or
@@ -521,14 +522,11 @@ class ReadoutPlan:
             self._ops.append(tuple(ops))
             self._back = inverse  # the last result back in parent order
         self._into = into
-        self.space = self._rows = self._transpose = None
-        if keep is not None:
-            kept = _keep_positions(parent, tuple(keep))
-            if len(kept) == len(parent.dims):
-                raise InvalidSubsystemError("a readout must trace out some factor")
-            self.space, self._rows = _reduction(parent, kept)
-            if part is not None:
-                self._transpose = _transpose_map(self.space, part)
+        kept = _keep_positions(parent, tuple(keep))
+        if len(kept) == len(parent.dims):
+            raise InvalidSubsystemError("a readout must trace out some factor")
+        self.space, self._rows = _reduction(parent, kept)
+        self._transpose = None if part is None else _transpose_map(self.space, part)
         for array in (into, self._back, *self._gathers):
             if array is not None:
                 array.setflags(write=False)
@@ -543,10 +541,6 @@ class ReadoutPlan:
             operands = results if gather is None else [r.take(gather) for r in results]
             results = [_gate(op, x) for op in ops for x in operands]
         return results if self._back is None else [r.take(self._back) for r in results]
-
-    def weight(self, histories: Sequence[np.ndarray]) -> float:
-        """The summed squared norms of ``histories``."""
-        return sum(float(np.linalg.norm(h)) ** 2 for h in histories)
 
     def reduce(self, vec: np.ndarray) -> np.ndarray:
         """The density matrix of a parent-space ket on the kept factors."""
@@ -573,6 +567,4 @@ def _reduce(vec: np.ndarray, reduced: HilbertSpace, rows: np.ndarray | None) -> 
 
 def _negativity(mat: np.ndarray, transpose: np.ndarray) -> float:
     evals = np.linalg.eigvalsh(mat.take(transpose))
-    # the sum of |negative eigenvalues|: rounding is symmetric in sign, so this is the sum
-    # of their absolute values, and an empty sum stays +0.0
-    return 0.0 - float(np.add.reduce(evals[evals < 0]))
+    return float(np.sum(np.abs(evals[evals < 0])))

@@ -217,7 +217,8 @@ class DarkBrightBasis:
     transferred state, delocalized superposition). ``bright`` columns are
     numeric eigenvectors of the strong restricted Hamiltonian, ordered by the
     eigenvalues in ``bright_eigenvalues`` (+g, -g, +g*chi, -g*chi; the
-    combined branch carries the balanced two-sector combinations).
+    combined branch carries the balanced two-sector combinations), each with
+    the sign the eigensolver gives it.
     ``printed_overlaps[sector]`` holds, in the same order, each
     ``|<printed form|numeric eigenvector>|^2`` over the sector's chain interior
     (:func:`printed_bright_forms`): the first two are 1, the last two are not.
@@ -244,10 +245,7 @@ def _numeric_bright_block(block: np.ndarray, targets: tuple[float, ...]) -> np.n
             raise DegenerateStructureError(
                 f"bright energies {seen[i]:.6g} and {t:.6g} name the same eigenvector")
         seen[i] = t
-        v = evecs[:, i]
-        pivot = int(np.argmax(np.abs(v)))
-        phase = v[pivot] / abs(v[pivot])
-        cols.append(v / phase)  # deterministic sign convention
+        cols.append(evecs[:, i])
     return np.column_stack(cols)
 
 

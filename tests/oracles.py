@@ -329,8 +329,8 @@ def _reference_target(spec: zc.ProtocolSpec, model: zc.BranchModel) -> zc.State:
 
 def reference_run(spec: zc.ProtocolSpec, model: zc.BranchModel | None = None):
     """``run(spec, model)`` as the package wrote it with one branch per protocol: a fresh
-    :class:`Propagator` for the engine, then the public ``hadamard_and_reduce``,
-    ``partial_trace``, ``negativity`` and ``overlap``."""
+    :class:`Propagator` for the engine, then :func:`two_pass_readout` on the fiber modes
+    and the public ``partial_trace``, ``negativity`` and ``overlap``."""
     if model is None:
         model = zc.build_branch_model(spec.params, spec.branch)
     elif model.params != spec.params or model.branch != spec.branch:
@@ -350,8 +350,8 @@ def reference_run(spec: zc.ProtocolSpec, model: zc.BranchModel | None = None):
     prob = neg = None
     if spec.protocol in (zc.Protocol.THREE_DIM, zc.Protocol.SIX_DIM):
         modes = [LAYOUT[sector].mode("F") for sector in spec.branch.sectors]
-        final, prob = zc.hadamard_and_reduce(psi, modes, atoms, spec.interpretation,
-                                             spec.outcome, spec.convention)
+        final, prob = two_pass_readout(psi, modes, atoms, spec.interpretation, spec.outcome,
+                                       spec.convention)
     elif spec.protocol == zc.Protocol.BELL:
         final = zc.partial_trace(psi, atoms)
     if spec.protocol not in (zc.Protocol.STATE_TRANSFER, zc.Protocol.SWAP):

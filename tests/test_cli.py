@@ -774,19 +774,24 @@ for part, test in (("protocol-cli", golden.test_protocol_cli_bytes),
 """
 
 
-def _python(*args, **threads):
-    """Run a new interpreter on ``args`` with only the given thread variables set."""
+def _run(argv, **threads):
+    """Run ``argv`` in a new process with only the given thread variables set."""
     here = Path(__file__).resolve().parent
     env = {name: value for name, value in os.environ.items() if name not in THREAD_VARIABLES}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**env, **threads}, timeout=300)
+    return subprocess.run(argv, capture_output=True, text=True, env={**env, **threads},
+                          timeout=300)
 
 
-def _fresh_process(code, **threads):
-    """Run ``code`` in a new interpreter; its stdout, once it has exited 0."""
-    done = _python("-c", code, **threads)
+def _python(*args, **threads):
+    """Run a new interpreter on ``args`` with only the given thread variables set."""
+    return _run([sys.executable, *args], **threads)
+
+
+def _fresh_process(code, *args, **threads):
+    """Run ``code`` on ``args`` in a new interpreter; its stdout, once it has exited 0."""
+    done = _python("-c", code, *args, **threads)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -833,6 +838,40 @@ def test_scipys_lapack_loads_only_when_a_command_first_needs_it():
                          ids=["unset", "OPENBLAS_NUM_THREADS=2"])
 def test_golden_outputs_do_not_depend_on_blas_threads(threads):
     _fresh_process(_GOLDEN_OUTPUTS, **threads)
+
+
+# the full engine on both sectors, the splitter's Kraus histories, the spectrum, a two-axis
+# sweep, and each report on each branch
+_BLAS_ARGV = [
+    ["protocol", "--name", "sixdim", "--engine", "full"],
+    ["protocol", "--name", "threedim", "--convention", "beamsplitter"],
+    ["protocol", "--name", "sixdim", "--convention", "beamsplitter", "--interpretation", "trace"],
+    ["spectrum", "--branch", "combined"],
+    ["sweep", "--name", "bell", "--engine", "effective", "--axis", "g_over_lam:lin:0.05:0.1:2",
+     "--axis", "omega1:log:0.001:0.01:2"],
+    *([command, "--branch", branch] for branch in ("left", "right", "combined")
+      for command in ("darkstates", "compare")),
+]
+
+_STDOUT_OF_EACH = r"""
+import contextlib, io, json, sys
+from zenocavity.cli import main
+
+outs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    outs.append(out.getvalue())
+print(json.dumps(outs))
+"""
+
+
+def test_cli_outputs_do_not_depend_on_blas_threads():
+    unset, two = (json.loads(_fresh_process(_STDOUT_OF_EACH, json.dumps(_BLAS_ARGV), **threads))
+                  for threads in ({}, {"OPENBLAS_NUM_THREADS": "2"}))
+    for argv, a, b in zip(_BLAS_ARGV, unset, two):
+        assert a == b, argv
 
 
 # ---------------------------------------------------------------------------
@@ -913,6 +952,82 @@ def test_the_console_script_prints_each_flag_text(argv, stream, text):
     done = subprocess.run([script, *argv], capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert text in getattr(done, stream)
+
+
+# What a user runs: every protocol, each multi-history readout, a sweep, the reports, and
+# the numeric (exit 1) and usage (exit 2) edges. {tmp} is a scratch directory holding the
+# config files below and an existing directory "taken".
+_CONFIGS = {"k0.ini": "[swap]\nk = 0\n", "percent.ini": "[params]\ng = 1%\n",
+            "default.ini": "[DEFAULT]\nk = 2\n\n[bell]\nengine = effective\n"}
+_ENTRY_ARGV = {
+    **{p.value: (f"protocol --name {p.value}", 0) for p in Protocol},
+    "threedim-outcome-1": ("protocol --name threedim --outcome 1", 0),
+    "threedim-right-beamsplitter-trace": ("protocol --name threedim --branch right"
+                                          " --convention beamsplitter --interpretation trace", 0),
+    "sixdim-trace": ("protocol --name sixdim --interpretation trace", 0),
+    "sixdim-beamsplitter": ("protocol --name sixdim --convention beamsplitter", 0),
+    "sweep-in-regime": ("sweep --name bell --engine effective --axis g_over_lam:lin:0.05:0.1:2"
+                        " --workers 2", 0),
+    "spectrum": ("spectrum --branch combined", 0),
+    "darkstates": ("darkstates --branch combined", 0),
+    "compare": ("compare", 0),
+    "tiny-g": ("protocol --name bell --g 1e-300", 1),
+    "huge-taus": ("compare --taus 0:1e300:3", 1),
+    "huge-lam": ("spectrum --g 1e-5 --lam 1e150", 1),
+    "tiny-lam": ("darkstates --lam 1e-8", 1),
+    "oversized-taus": ("compare --taus 0:1:1000000000000", 2),
+    "infinite-axis": ("sweep --name bell --axis omega1:lin:inf:1:3", 2),
+    "overflowing-taus": ("compare --taus=-1e308:1e308:3", 2),
+    "k0-config": ("protocol --name swap --config {tmp}/k0.ini", 2),
+    "percent-config": ("protocol --name bell --config {tmp}/percent.ini", 2),
+    "default-config": ("protocol --name bell --config {tmp}/default.ini", 2),
+    "missing-out": ("protocol --name bell --out {tmp}/missing/x.json", 2),
+    "taken-out": ("protocol --name bell --out {tmp}/taken", 2),
+    "missing-sweep-out": ("sweep --name bell --engine effective"
+                          " --axis g_over_lam:lin:0.05:0.1:2 --out {tmp}/missing/x.csv", 2),
+    "sixdim-beamsplitter-outcome-1": ("protocol --name sixdim --convention beamsplitter"
+                                      " --outcome 1", 2),
+}
+
+
+@pytest.fixture
+def entry_dir(tmp_path):
+    for name, text in _CONFIGS.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "taken").mkdir()
+    return tmp_path
+
+
+def _entry_argv(key, tmp):
+    return [arg.format(tmp=tmp) for arg in _ENTRY_ARGV[key][0].split()]
+
+
+def _files(tmp):
+    return sorted(path.relative_to(tmp) for path in tmp.rglob("*"))
+
+
+@pytest.mark.parametrize("key", _ENTRY_ARGV)
+def test_each_entry_argv_exits_as_documented(entry_dir, capsys, key):
+    before = _files(entry_dir)
+    code, out, err = invoke(_entry_argv(key, entry_dir), capsys)
+    assert code == _ENTRY_ARGV[key][1], err
+    if code == 0:
+        assert out and err == ""
+    assert _files(entry_dir) == before  # a failed write leaves no file behind
+
+
+@pytest.mark.parametrize("key", _ENTRY_ARGV)
+def test_the_console_script_answers_as_the_module_does(entry_dir, key):
+    script = shutil.which("zenocavity")
+    if script is None:
+        pytest.skip("the zenocavity console script is not installed")
+    argv = _entry_argv(key, entry_dir)
+    via_script = _run([script, *argv])
+    via_module = _python("-m", "zenocavity.cli", *argv)
+    assert via_script.returncode == _ENTRY_ARGV[key][1], via_script.stderr
+    assert "Traceback" not in via_script.stderr
+    assert ((via_script.returncode, via_script.stdout, via_script.stderr)
+            == (via_module.returncode, via_module.stdout, via_module.stderr))
 
 
 def test_the_console_script_is_the_module_entry():

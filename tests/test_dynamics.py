@@ -203,6 +203,14 @@ def test_solve_timing_validation():
         zc.solve_timing(tiny, zc.Branch.LEFT)
 
 
+def test_solve_timing_takes_a_branch_name():
+    p = zc.UniformParams(g=1.0, lam=1.0, omega1=0.01, omega2=0.02, omega3=0.02)
+    for name in ("left", "combined"):
+        assert zc.solve_timing(p, name) == zc.solve_timing(p, zc.Branch(name))
+    with pytest.raises(ValueError, match="'bogus' is not a valid Branch"):
+        zc.solve_timing(p, "bogus")
+
+
 def test_zeno_ratio():
     p = zc.UniformParams(g=0.5, lam=2.0, omega1=0.01, omega2=0.05)
     assert abs(zc.zeno_ratio(p) - 0.1) < ATOL

@@ -310,6 +310,27 @@ def test_hadamard_validation(space1):
             hadamard_and_reduce(psi, modes, ("a", "b"), outcome=0)
 
 
+# an atom and one cutoff-1 mode
+_ATOM_AND_MODE = zc.HilbertSpace([zc.SubsystemSpec("a", levels=("g", "e")),
+                                  zc.SubsystemSpec("F", cutoff=1)])
+
+
+@pytest.mark.parametrize("interpretation", list(Interpretation))
+def test_a_readout_that_keeps_every_factor_is_refused(interpretation):
+    psi = _ATOM_AND_MODE.ket(a="e")  # outcome 0 has probability 1/2
+    with pytest.raises(zc.InvalidSubsystemError, match="a readout must trace out some factor"):
+        hadamard_and_reduce(psi, ["F"], ("a", "F"), interpretation)
+
+
+def test_a_bad_keep_set_is_refused_before_an_outcome_of_probability_0():
+    # H (|0> - |1>)/sqrt2 = |1>: outcome 0 cannot occur
+    psi = (_ATOM_AND_MODE.ket(a="g") + (-1) * _ATOM_AND_MODE.ket(a="g", F=1)) * (1 / math.sqrt(2))
+    with pytest.raises(ValueError, match="probability ~0"):
+        hadamard_and_reduce(psi, ["F"], ("a",), outcome=0)
+    with pytest.raises(zc.InvalidSubsystemError, match="no subsystem named 'b'"):
+        hadamard_and_reduce(psi, ["F"], ("b",), outcome=0)
+
+
 # The Zeno limit on the sector state (Facchi & Pascazio, PRL 89, 080401): at
 # the protocol's own pulse, the full sector evolution departs from the
 # dark-block evolution by an infidelity of order r^2, r = zeno_ratio. The bound
@@ -469,6 +490,17 @@ def test_writing_to_a_result_does_not_reach_the_next_run(spec):
     again = run(spec)
     assert json.dumps(again.to_dict()) == text
     assert again.target.vec.tobytes() == target.tobytes()
+
+
+@pytest.mark.parametrize("spec", _every_branch_spec(), ids=str)
+def test_target_state_is_the_run_target_and_the_paper_target(spec):
+    model = zc.build_branch_model(spec.params, spec.branch)
+    target, want = zc.target_state(spec, model), run(spec, model).target
+    assert target.space == want.space
+    assert (target.vec.dtype, target.vec.tobytes()) == (want.vec.dtype, want.vec.tobytes())
+    target = zc.embed(target)
+    paper = oracles.paper_target(spec, target.space)
+    assert abs(abs(np.vdot(paper.vec, target.vec)) ** 2 - 1.0) <= 1e-12
 
 
 def _outcome(spec, model=None, function=run):

@@ -61,6 +61,21 @@ def test_projector_near(left_model):
         dec.projector_near(0.5)
 
 
+@pytest.mark.parametrize("width, offset, found", [
+    (1e-3, 0.99e-2, True), (1e-3, 1.01e-2, False),  # ten cluster widths
+    (0.0, 0.9e-9, True), (0.0, 1.1e-9, False),      # and never less than SPECTRAL_TOL
+])
+def test_projector_near_reaches_ten_cluster_widths_and_at_least_1e_9(width, offset, found):
+    projectors = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    dec = zc.ZenoDecomposition(np.array([0.0, 1.0]), projectors, (1, 1), width)
+    for value in (1.0 - offset, 1.0 + offset):
+        if found:
+            assert dec.projector_near(value) is projectors[1]
+        else:
+            with pytest.raises(ValueError, match="no cluster near"):
+                dec.projector_near(value)
+
+
 def test_decompose_explicit_width_merges():
     dec = zc.decompose(np.diag([0.0, 1e-7, 1.0]))
     # default width 1e-6 swallows the 1e-7 splitting
@@ -200,6 +215,22 @@ def test_a_fresh_process_never_imports_scipy_linalg_or_sparse():
 
 def _bright(h):
     return _numeric_bright_block(h, (1.0, -1.0, math.sqrt(3.0), -math.sqrt(3.0)))
+
+
+@pytest.mark.parametrize("target", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("miss, found", [(0.9e-9, True), (1.1e-9, False)])
+def test_a_bright_energy_is_found_within_1e_9_of_the_larger_of_1_and_its_scale(target, miss,
+                                                                              found):
+    # the eigenvalues of a diagonal block are its entries
+    offset = miss * max(1.0, target)
+    for value in (target - offset, target + offset):
+        block = np.diag([-5e3, value, 5e3])
+        if found:
+            assert np.array_equal(np.abs(_numeric_bright_block(block, (target,))),
+                                  [[0.0], [1.0], [0.0]])
+        else:
+            with pytest.raises(zc.DegenerateStructureError, match="no isolated eigenvalue"):
+                _numeric_bright_block(block, (target,))
 
 
 @pytest.mark.parametrize("solve, bad, message", [
