@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import LAYOUT, Branch, BranchModel, UniformParams
-from .spaces import require_hermitian
+from .spaces import _integer, require_hermitian
 from .zeno import eigh
 
 _EPS = float(np.finfo(float).eps)
@@ -175,19 +175,20 @@ def solve_timing(params: UniformParams, branch: Branch | str, condition: str = H
                  k: int = 1) -> float:
     """Pulse duration solving the requested phase condition.
 
-    Any integer ``k >= 1`` is accepted for either condition; note that the
+    Any integer ``k >= 1`` is accepted for either condition, numpy integers included
+    and bools not, as :class:`~zenocavity.protocols.ProtocolSpec` takes it; note that the
     ``pi`` condition only implements the transfer for odd ``k`` (even
     multiples return the initial state), which callers surface as a flag.
     For the combined branch the two sectors share one clock, so their
     second drives must be equal.
     """
-    branch = Branch(branch)
-    if k < 1 or int(k) != k:
+    branch, count = Branch(branch), _integer(k)
+    if count is None or count < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     if condition == HALF_PI:
-        target = (2 * k - 1) * math.pi / 2.0
+        target = (2 * count - 1) * math.pi / 2.0
     elif condition == PI:
-        target = k * math.pi
+        target = count * math.pi
     else:
         raise ValueError(f"unknown timing condition {condition!r}")
     if branch == Branch.COMBINED and not math.isclose(params.omega2, params.omega3,

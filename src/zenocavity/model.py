@@ -152,15 +152,6 @@ def full_space(cutoff: int = 1) -> HilbertSpace:
     ])
 
 
-@dataclass(frozen=True, eq=False)
-class CouplingTerm:
-    """One product operator ``coeff * prod_k O_k``; the builder adds ``+ h.c.``."""
-
-    part: str  # "cavity" | "fiber" | "drive"
-    coeff: float
-    factors: tuple[tuple[str, np.ndarray], ...]  # (subsystem name, local matrix)
-
-
 def _excite(sub: SubsystemSpec, layout: _Layout, lower: str) -> np.ndarray:
     """The atomic transition ``|e><lower|`` within one sector's levels."""
     m = np.zeros((sub.dim, sub.dim))
@@ -170,28 +161,6 @@ def _excite(sub: SubsystemSpec, layout: _Layout, lower: str) -> np.ndarray:
 
 def _annihilation(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
-
-
-def coupling_terms(params: UniformParams, space: HilbertSpace) -> list[CouplingTerm]:
-    """Symbolic term list of the full Hamiltonian (hermitian halves only)."""
-    subs = {s.name: s for s in space.subsystems}
-    terms: list[CouplingTerm] = []
-
-    def add(part, coeff, *factors):
-        if coeff != 0.0:
-            terms.append(CouplingTerm(part, float(coeff), tuple(factors)))
-
-    for layout in LAYOUT.values():
-        fiber = layout.mode("F")
-        create = _annihilation(subs[fiber].dim).conj().T
-        for atom, cavity, drive in layout.ends:
-            ann = _annihilation(subs[cavity].dim)
-            # the excited atom emits into its cavity's mode, the fiber mode absorbs from
-            # the cavity, and a classical drive acts on the atom's f -> e transition
-            add("cavity", params.g, (atom, _excite(subs[atom], layout, "g")), (cavity, ann))
-            add("fiber", params.lam, (fiber, create), (cavity, ann))
-            add("drive", getattr(params, drive), (atom, _excite(subs[atom], layout, "f")))
-    return terms
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,29 +184,41 @@ def build_hamiltonian(
 ) -> HamiltonianParts:
     """Assemble the Hamiltonian parts on ``space`` (default cutoff-1 space).
 
-    Each :func:`coupling_terms` term is ``coeff`` times the ``sp.kron`` chain of
-    its local matrices over the register, identities filled in; each part is
-    the running CSR sum of its terms plus their conjugate transposes, so it is
-    hermitian by construction. This is the oracle of :func:`build_branch_model`.
+    Each coupling term with a nonzero coefficient is ``coeff`` times the ``sp.kron``
+    chain of its local matrices over the register, identities filled in; each part is
+    the running CSR sum of its terms plus their conjugate transposes, in the order the
+    terms are generated, so it is hermitian by construction. This is the oracle of
+    :func:`build_branch_model`.
     """
     import scipy.sparse as sp
 
     if space is None:
         space = full_space()
-    terms = coupling_terms(params, space)
-    parts = {}
-    for name in ("cavity", "fiber", "drive"):
-        acc = sp.csr_matrix((space.dim, space.dim))
-        for term in (t for t in terms if t.part == name):
-            local = dict(term.factors)
-            m = sp.identity(1, format="csr")
-            for sub in space.subsystems:
-                factor = local.get(sub.name)
-                m = sp.kron(m, sp.identity(sub.dim, format="csr") if factor is None
-                            else sp.csr_matrix(factor), format="csr")
-            m = term.coeff * m
-            acc = acc + m + m.conj().T
-        parts[name] = acc
+    subs = {s.name: s for s in space.subsystems}
+    parts = {name: sp.csr_matrix((space.dim, space.dim)) for name in ("cavity", "fiber", "drive")}
+
+    def add(part, coeff, *factors):
+        if coeff == 0.0:
+            return
+        local = dict(factors)
+        m = sp.identity(1, format="csr")
+        for sub in space.subsystems:
+            factor = local.get(sub.name)
+            m = sp.kron(m, sp.identity(sub.dim, format="csr") if factor is None
+                        else sp.csr_matrix(factor), format="csr")
+        m = float(coeff) * m
+        parts[part] = parts[part] + m + m.conj().T
+
+    for layout in LAYOUT.values():
+        fiber = layout.mode("F")
+        create = _annihilation(subs[fiber].dim).conj().T
+        for atom, cavity, drive in layout.ends:
+            ann = _annihilation(subs[cavity].dim)
+            # the excited atom emits into its cavity's mode, the fiber mode absorbs from
+            # the cavity, and a classical drive acts on the atom's f -> e transition
+            add("cavity", params.g, (atom, _excite(subs[atom], layout, "g")), (cavity, ann))
+            add("fiber", params.lam, (fiber, create), (cavity, ann))
+            add("drive", getattr(params, drive), (atom, _excite(subs[atom], layout, "f")))
     strong = parts["cavity"] + parts["fiber"]
     return HamiltonianParts(space, parts["cavity"], parts["fiber"], parts["drive"],
                             strong, strong + parts["drive"])
@@ -319,9 +300,9 @@ def sector_kets(space: HilbertSpace, branch: Branch) -> list[State]:
     ]
 
 
-def initial_state(space: HilbertSpace, branch: Branch) -> State:
+def initial_state(space: HilbertSpace, branch: Branch | str) -> State:
     """The protocol seed: chain head of the branch, or their balanced sum."""
-    heads = [sector_kets(space, sector)[0] for sector in branch.sectors]
+    heads = [sector_kets(space, sector)[0] for sector in Branch(branch).sectors]
     return sum(heads[1:], start=heads[0]) * (1.0 / math.sqrt(len(heads)))
 
 
@@ -414,7 +395,7 @@ class BranchModel:
 
 def build_branch_model(
     params: UniformParams,
-    branch: Branch,
+    branch: Branch | str,
     space: HilbertSpace | None = None,
 ) -> BranchModel:
     """Chain basis plus restricted Hamiltonians for one branch (or the pair).
@@ -432,6 +413,7 @@ def build_branch_model(
     """
     if params.g <= 0 or params.lam <= 0:
         raise ValueError("branch sectors need g > 0 and lam > 0")
+    branch = Branch(branch)  # a name is resolved here, so that the model holds the member
     if space is None:
         space = full_space()
     sector = _sector(branch, space)

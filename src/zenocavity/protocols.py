@@ -44,10 +44,10 @@ from .spaces import (
     HADAMARD,
     DensityOp,
     HilbertSpace,
-    InvalidSubsystemError,
     ReadoutPlan,
     RestrictedSpace,
     State,
+    _integer,
     overlap,
 )
 
@@ -97,14 +97,6 @@ _POSTSELECTED = {convention: [[_constant(np.diag(np.eye(2)[o]) @ k) for k in kra
                  for convention, kraus in _KRAUS.items()}
 
 
-def _integer(value) -> int | None:
-    """``value`` as a plain int, numpy integers included; None for a bool or a non-integer."""
-    try:
-        return None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        return None
-
-
 def hadamard_and_reduce(
     state: State,
     modes: Sequence[str],
@@ -124,14 +116,13 @@ def hadamard_and_reduce(
     The modes and ``keep`` are checked before any arithmetic: a ``keep`` that names
     every factor raises ``InvalidSubsystemError`` (a readout must trace out some factor),
     and a bad ``keep`` raises its own error even where the outcome has probability ~0.
+    The plan of the readout is built on each call; only a run's plan is cached.
     """
     interpretation = Interpretation(interpretation)
     convention = GateConvention(convention)
     modes = list(modes)
     if not modes:
         raise ValueError("at least one mode to act on")
-    if len(set(modes)) != len(modes):
-        raise InvalidSubsystemError(f"repeated modes in {modes}")
     try:
         outcomes = list(outcome)
     except TypeError:  # one scalar outcome for every mode
@@ -141,39 +132,36 @@ def hadamard_and_reduce(
     if any(_integer(o) not in (0, 1) for o in outcomes):
         raise ValueError(f"outcomes must be 0 or 1, got {outcomes}")
 
-    postselect = interpretation == Interpretation.POSTSELECT
-    readout = _readout(state.space, tuple(modes),
-                       tuple(map(int, outcomes)) if postselect else None, convention,
-                       tuple(keep), None)
-    refusal = f"post-selection on outcome(s) {outcomes} has probability ~0"
-    rho, prob = _read(readout, state.vec, refusal if postselect else None)
+    outcomes = tuple(map(int, outcomes)) if interpretation == Interpretation.POSTSELECT else None
+    readout = _readout(state.space, modes, outcomes, convention, keep, None)
+    rho, prob = _read(readout, state.vec, outcomes)
     return DensityOp(readout.space, rho), prob
 
 
-@functools.cache
-def _readout(space, modes: tuple[str, ...], outcomes: tuple[int, ...] | None,
-             convention: GateConvention, keep: tuple, part: tuple | None) -> ReadoutPlan:
+def _readout(space, modes: Sequence[str], outcomes: tuple[int, ...] | None,
+             convention: GateConvention, keep: Sequence, part: Sequence | None) -> ReadoutPlan:
     """The gate of each mode, post-selected on its outcome unless ``outcomes`` is None, then
-    the reduction to ``keep`` and the negativity across ``part``; built once per key."""
+    the reduction to ``keep`` and the negativity across ``part``."""
     return ReadoutPlan(space, [(mode, _KRAUS[convention] if outcomes is None
                                 else _POSTSELECTED[convention][o])
                                for mode, o in zip(modes, outcomes or modes)], keep, part)
 
 
 def _read(readout: ReadoutPlan, vec: np.ndarray,
-          refusal: str | None) -> tuple[np.ndarray, float | None]:
+          outcomes: tuple[int, ...] | None) -> tuple[np.ndarray, float | None]:
     """The reduced state of the ket ``vec`` and its post-selection probability.
 
     Each history is one coherent sequence, one operator per mode; their reductions add
-    incoherently, in order. With a ``refusal`` (the error of a probability ~0) the sum is
-    normalized by the histories' summed squared norms; without one the probability is None.
+    incoherently, in order. Post-selected on ``outcomes``, the sum is normalized by the
+    histories' summed squared norms, and a sum below ``ZERO_PROBABILITY_TOL`` is refused;
+    with ``outcomes`` None the probability is None.
     """
     histories = readout.histories(vec)
     prob = None
-    if refusal is not None:
+    if outcomes is not None:
         prob = sum(float(np.linalg.norm(h)) ** 2 for h in histories)
         if prob < ZERO_PROBABILITY_TOL:
-            raise ValueError(refusal)
+            raise ValueError(f"post-selection on outcome(s) {list(outcomes)} has probability ~0")
     mats = [readout.reduce(h) for h in histories]
     rho = sum(mats[1:], start=mats[0])
     return (rho if prob is None else rho / prob), prob
@@ -305,12 +293,6 @@ def _atoms(branch: Branch) -> tuple[str, ...]:
     return ("a", *(LAYOUT[sector].atom for sector in branch.sectors))
 
 
-def target_state(spec: ProtocolSpec, model: BranchModel) -> State:
-    """The protocol's target ket, in the space where scoring happens."""
-    return _target(_plan(spec.protocol, spec.branch, model.restricted, spec.interpretation,
-                         spec.outcome, spec.convention).target, model)
-
-
 def _target(target: int | State, model: BranchModel) -> State:
     """A fresh copy of the target: a column of ``model.dark``, or a built atom-space ket."""
     if isinstance(target, int):
@@ -345,7 +327,7 @@ class _Plan(NamedTuple):
     drives: operator.attrgetter      # omega1, then each sector's cavity-B drive
     one_drive: str | None            # the flag of a cavity-B drive where a is driven alone
     readout: ReadoutPlan | None      # the fiber gates, the atoms and their negativity
-    refusal: str | None              # the error of a post-selection with probability ~0
+    outcomes: tuple[int, ...] | None  # the post-selected outcome of each fiber mode
 
 
 @functools.cache
@@ -353,14 +335,13 @@ def _plan(protocol: Protocol, branch: Branch, restricted: RestrictedSpace,
           interpretation: Interpretation, outcome: int, convention: GateConvention) -> _Plan:
     """The plan of a structure key, built on its first run; it holds no parameter value."""
     definition = _PROTOCOLS[protocol]
-    readout = refusal = None
+    readout = outcomes = None
     if definition.readout != "ket" or definition.negativity:
-        modes, outcomes = (), None
+        modes = ()
         if definition.readout == "fiber":
             modes = tuple(LAYOUT[sector].mode("F") for sector in branch.sectors)
             if interpretation == Interpretation.POSTSELECT:
                 outcomes = (outcome,) * len(modes)
-                refusal = f"post-selection on outcome(s) {list(outcomes)} has probability ~0"
         readout = _readout(restricted, modes, outcomes, convention, _atoms(branch),
                            ("a",) if definition.negativity else None)
     target = definition.target
@@ -369,7 +350,7 @@ def _plan(protocol: Protocol, branch: Branch, restricted: RestrictedSpace,
     drives = [LAYOUT[sector].drive for sector in branch.sectors]
     one_drive = f"{protocol} assumes {' = '.join(drives)} = 0" if definition.one_drive else None
     return _Plan(definition, target, operator.attrgetter("omega1", *drives), one_drive,
-                 readout, refusal)
+                 readout, outcomes)
 
 
 def _regime_flags(spec: ProtocolSpec, plan: _Plan) -> list[str]:
@@ -432,7 +413,7 @@ def run(spec: ProtocolSpec, model: BranchModel | None = None) -> ProtocolResult:
         final = State(model.restricted, amps)
     readout = plan.readout
     if readout is not None:
-        rho, prob = _read(readout, amps, plan.refusal)
+        rho, prob = _read(readout, amps, plan.outcomes)
         if final is None:
             final = DensityOp(readout.space, rho)
         if plan.definition.negativity:

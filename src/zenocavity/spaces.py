@@ -15,6 +15,7 @@ gates) validate compatibility before doing any arithmetic.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -126,7 +127,7 @@ class HilbertSpace:
     def subsystem_index(self, name: str) -> int:
         try:
             return self._by_name[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise InvalidSubsystemError(
                 f"no subsystem named {name!r} in {list(self._by_name)}"
             ) from None
@@ -285,9 +286,9 @@ def embed(state: State) -> State:
     return state
 
 
-def require_hermitian(mat: np.ndarray, tol: float = STRUCTURAL_TOL, what: str = "operator"):
+def require_hermitian(mat: np.ndarray, what: str = "operator"):
     dev = float(np.max(np.abs(mat - mat.conj().T)))
-    if dev > tol:
+    if dev > STRUCTURAL_TOL:
         raise ValueError(f"{what} is not hermitian (max deviation {dev:.2e})")
 
 
@@ -295,14 +296,25 @@ def require_hermitian(mat: np.ndarray, tol: float = STRUCTURAL_TOL, what: str = 
 # reductions, fidelity, negativity
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _keep_positions(space: HilbertSpace, keep: tuple) -> tuple[int, ...]:
-    """The factor positions ``keep`` names, in tensor order, resolved once per (space, keep)."""
-    out = []
+def _integer(value) -> int | None:
+    """``value`` as a plain int, numpy integers included; None for a bool or a non-integer."""
+    try:
+        return None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return None
+
+
+def _keep_positions(space: HilbertSpace, keep: Iterable) -> tuple[int, ...]:
+    """The factor positions ``keep`` names, by name or by integer index, in tensor order."""
+    keep, out = list(keep), []
     for k in keep:
-        out.append(space.subsystem_index(k) if isinstance(k, str) else int(k))
+        i = space.subsystem_index(k) if isinstance(k, str) else _integer(k)
+        if i is None:
+            raise InvalidSubsystemError(
+                f"a subsystem entry is a name or an integer index, got {k!r}")
+        out.append(i)
     if len(set(out)) != len(out):
-        raise InvalidSubsystemError(f"duplicate entries in keep set {list(keep)}")
+        raise InvalidSubsystemError(f"duplicate entries in keep set {keep}")
     for i in out:
         if not 0 <= i < len(space.dims):
             raise InvalidSubsystemError(f"subsystem index {i} out of range")
@@ -363,7 +375,7 @@ def partial_trace(state, keep: Iterable) -> DensityOp:
     if isinstance(state, State):
         state = embed(state)
         space = state.space
-        kept = _keep_positions(space, tuple(keep))
+        kept = _keep_positions(space, keep)
         if len(kept) == len(space.dims):
             return density(state)
         reduced, rows = _reduction(space, kept)
@@ -376,7 +388,7 @@ def partial_trace(state, keep: Iterable) -> DensityOp:
                 "partial_trace of a restricted-space density matrix is not defined;"
                 " embed the underlying states first"
             )
-        kept = _keep_positions(space, tuple(keep))
+        kept = _keep_positions(space, keep)
         if len(kept) == len(space.dims):
             return DensityOp(space, state.mat.copy())
         n = len(space.dims)
@@ -440,7 +452,7 @@ def _transpose_map(space: HilbertSpace, partition: Iterable) -> np.ndarray:
             f"negativity capped at dimension {NEGATIVITY_DIM_CAP}, got {space.dim};"
             " trace out spectators first"
         )
-    part = _keep_positions(space, tuple(partition))
+    part = _keep_positions(space, partition)
     if not part or len(part) == len(space.dims):
         raise InvalidSubsystemError("partition must be a proper nonempty subset")
     return _partial_transpose(space, part)
@@ -494,8 +506,8 @@ class ReadoutPlan:
 
     A plan holds index maps and operators, never an amplitude, and its arrays are
     read-only; build one per structure and reuse it. Its names are checked when it is
-    built, and ``keep`` must leave out some factor; its methods check nothing and take the
-    kets and matrices of its own spaces.
+    built: no mode may repeat, and ``keep`` must leave out some factor; its methods check
+    nothing and take the kets and matrices of its own spaces.
     Each kernel receives the operand that :func:`apply_on_mode`, :func:`partial_trace` and
     :func:`negativity` give it, so the output bytes are theirs. Restricted kets go straight
     into the first operand, and the histories pass from one mode's operand to the next
@@ -512,8 +524,11 @@ class ReadoutPlan:
         into = np.array(space.indices, dtype=np.intp) if restricted else np.arange(space.dim)
         self._shape = (2, parent.dim // 2) if gates else (parent.dim,)
         self._ops, self._gathers, self._back = [], [], None
-        for mode, ops in gates:
-            front = _kept_block(parent, (_mode_axis(parent, mode),))
+        axes = [_mode_axis(parent, mode) for mode, _ in gates]
+        if len(set(axes)) != len(axes):  # a repeated mode would take its gate twice
+            raise InvalidSubsystemError(f"repeated modes in {[mode for mode, _ in gates]}")
+        for axis, (_, ops) in zip(axes, gates):
+            front = _kept_block(parent, (axis,))
             inverse = _inverse(front)
             if self._back is None:
                 into = inverse[into]
@@ -522,7 +537,7 @@ class ReadoutPlan:
             self._ops.append(tuple(ops))
             self._back = inverse  # the last result back in parent order
         self._into = into
-        kept = _keep_positions(parent, tuple(keep))
+        kept = _keep_positions(parent, keep)
         if len(kept) == len(parent.dims):
             raise InvalidSubsystemError("a readout must trace out some factor")
         self.space, self._rows = _reduction(parent, kept)

@@ -203,6 +203,21 @@ def test_solve_timing_validation():
         zc.solve_timing(tiny, zc.Branch.LEFT)
 
 
+@pytest.mark.parametrize("k", [True, 2.0, "2", None])
+def test_one_pulse_count_rule_for_timing_and_specs(k):
+    p = zc.UniformParams(g=1.0, lam=1.0, omega1=0.01)
+    message = f"k must be a positive integer, got {k}"
+    with pytest.raises(ValueError, match=message):
+        zc.solve_timing(p, "left", k=k)
+    with pytest.raises(ValueError, match=message):
+        default_spec("bell", k=k)
+
+
+def test_solve_timing_takes_a_numpy_pulse_count():
+    p = zc.UniformParams(g=1.0, lam=1.0, omega1=0.01)
+    assert zc.solve_timing(p, "left", k=np.int64(2)) == zc.solve_timing(p, "left", k=2)
+
+
 def test_solve_timing_takes_a_branch_name():
     p = zc.UniformParams(g=1.0, lam=1.0, omega1=0.01, omega2=0.02, omega3=0.02)
     for name in ("left", "combined"):

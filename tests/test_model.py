@@ -3,7 +3,11 @@
 import dataclasses
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ import oracles
 import zenocavity as zc
 import zenocavity.model as model_mod
 from oracles import chain_hamiltonian, excitation_number, number_commutator_maxabs
-from zenocavity.model import coupling_terms, full_space, restrict
+from zenocavity.model import full_space, restrict
 
 ATOL = 1e-12
 
@@ -64,19 +68,6 @@ def test_public_names_resolve():
 # ---------------------------------------------------------------------------
 # operator assembly
 # ---------------------------------------------------------------------------
-
-def test_coupling_term_count(space1):
-    # 4 cavity + 4 fiber + 4 drive when every rate is on
-    terms = coupling_terms(PARAMS, space1)
-    by_part = {}
-    for t in terms:
-        by_part[t.part] = by_part.get(t.part, 0) + 1
-    assert by_part == {"cavity": 4, "fiber": 4, "drive": 4}
-    # zero drives drop out of the term list entirely
-    quiet = zc.UniformParams(g=1.0, lam=1.0, omega1=0.01)
-    parts = [t.part for t in coupling_terms(quiet, space1)]
-    assert parts.count("drive") == 2  # omega1 acts on both polarizations
-
 
 def test_build_hamiltonian_hermitian_and_sparse(space1):
     parts = zc.build_hamiltonian(PARAMS, space1)
@@ -245,6 +236,30 @@ def test_cutoff_two_reproduces_the_same_sector():
     assert [oracles.occupation(m2.space, i) for i in m2.restricted.indices] == [
         oracles.occupation(m1.space, i) for i in m1.restricted.indices
     ]
+
+
+# a name first, then the member, then the name again, a hit in the sector cache
+_BRANCH_NAMES = """
+import zenocavity as zc
+params, space = zc.UniformParams(g=1.0, lam=1.0, omega1=0.01), zc.full_space()
+seed = zc.initial_state(space, "left")
+assert seed.vec.tobytes() == zc.initial_state(space, zc.Branch.LEFT).vec.tobytes()
+for branch in ("left", zc.Branch.LEFT, "left"):
+    model = zc.build_branch_model(params, branch)
+    assert model.branch is zc.Branch.LEFT, repr(model.branch)
+    assert model.seed().vec.tobytes() == model.restricted.project(seed.vec).tobytes()
+    [row] = zc.compare_full_vs_effective(model, [100.0])
+    assert 0.99 < row.fidelity <= 1.0 + 1e-12, row
+"""
+
+
+def test_a_branch_name_is_resolved_where_it_enters():
+    # a fresh process, so that no test has built a sector before the first name
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _BRANCH_NAMES], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def test_branch_model_rejects_degenerate_couplings(space1):

@@ -461,31 +461,67 @@ def test_index_maps_are_read_only_and_a_warm_run_builds_none(space1):
             index[0, 0] = 0
 
 
-def test_a_warm_run_resolves_no_keep_set():
+def _spy_on_keep_positions(monkeypatch) -> list:
+    """Record every keep set or partition that ``spaces`` resolves from now on."""
+    calls, resolve = [], spaces._keep_positions
+    monkeypatch.setattr(spaces, "_keep_positions",
+                        lambda space, keep: calls.append(keep) or resolve(space, keep))
+    return calls
+
+
+def test_a_warm_run_resolves_no_keep_set(monkeypatch):
     specs = [zc.default_spec(p, branch=b)
              for p, b in (("bell", "right"), ("threedim", "left"), ("ghz", "combined"),
                           ("sixdim", "combined"))]
     for spec in specs:
         zc.run(spec)  # the first run of a structure key resolves its keep sets into its plan
     plans = zc.protocols._plan.cache_info()
-    before = spaces._keep_positions.cache_info()
+    calls = _spy_on_keep_positions(monkeypatch)
     for spec in specs:
         zc.run(replace(spec, params=replace(spec.params, g=1.1 * spec.params.g)))
-    assert spaces._keep_positions.cache_info() == before  # not even a cache hit
+    assert calls == []
     after = zc.protocols._plan.cache_info()
     assert (after.misses, after.hits - plans.hits) == (plans.misses, len(specs))
+
+
+_BAD_ENTRY = "a subsystem entry is a name or an integer index, got "
 
 
 @pytest.mark.parametrize("keep, error, message", [
     (("a", "a"), InvalidSubsystemError, "duplicate entries in keep set ['a', 'a']"),
     ([0, 9], InvalidSubsystemError, "subsystem index 9 out of range"),
     (("Q",), InvalidSubsystemError, "no subsystem named 'Q'"),
-    ([[0]], TypeError, "unhashable type"),
+    ([[0]], InvalidSubsystemError, _BAD_ENTRY + "[0]"),
 ])
-def test_bad_keep_sets_fail_every_time_and_are_never_cached(space1, keep, error, message):
+def test_bad_keep_sets_fail_every_time_and_are_never_cached(space1, monkeypatch, keep, error,
+                                                            message):
     psi = zc.initial_state(space1, zc.Branch.LEFT)
-    cached = spaces._keep_positions.cache_info().currsize
+    calls = _spy_on_keep_positions(monkeypatch)
     for _ in range(2):
         with pytest.raises(error, match=re.escape(message)):
             zc.partial_trace(psi, keep)
-    assert spaces._keep_positions.cache_info().currsize == cached
+    assert len(calls) == 2  # resolved, and refused, on each call
+
+
+@pytest.mark.parametrize("keep", [[0.7], [True], [0, 1.9], [np.float64(1.0)], [["a"]], [("a",)],
+                                  [None]], ids=repr)
+def test_a_keep_or_partition_entry_is_a_name_or_an_integer(space1, keep):
+    psi = zc.initial_state(space1, zc.Branch.LEFT)
+    rho = zc.partial_trace(psi, ("a", "b"))
+    message = re.escape(_BAD_ENTRY + repr(keep[-1]))
+    for call in (lambda: zc.partial_trace(psi, keep), lambda: zc.negativity(rho, keep)):
+        with pytest.raises(InvalidSubsystemError, match=message):
+            call()
+
+
+def test_numpy_integers_index_a_keep_set(space1):
+    psi = zc.initial_state(space1, zc.Branch.LEFT)
+    want = zc.partial_trace(psi, [0, 1])
+    got = zc.partial_trace(psi, [np.int64(0), np.intp(1)])
+    assert got.space is want.space and got.mat.tobytes() == want.mat.tobytes()
+
+
+@pytest.mark.parametrize("name", [["a"], {"a": 0}, np.array(["a"])])
+def test_an_unhashable_subsystem_name_is_an_invalid_subsystem(space1, name):
+    with pytest.raises(InvalidSubsystemError, match="no subsystem named"):
+        space1.subsystem_index(name)
