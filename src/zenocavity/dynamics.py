@@ -203,8 +203,13 @@ def solve_timing(params: UniformParams, branch: Branch | str, condition: str = H
 
 
 def zeno_ratio(params: UniformParams) -> float:
-    """Largest drive over the smallest strong coupling; small means Zeno regime."""
+    """Largest drive over the smallest strong coupling; small means Zeno regime.
+
+    Raises ``ValueError`` unless g > 0 and lam > 0.
+    """
     strong = min(params.g, params.lam)
+    if strong <= 0:
+        raise ValueError("the Zeno ratio needs g > 0 and lam > 0")
     return max(params.omega1, params.omega2, params.omega3) / strong
 
 

@@ -136,7 +136,7 @@ _REST = {layout.atom: layout.level("g") for layout in LAYOUT.values()}
 # operator assembly
 # ---------------------------------------------------------------------------
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)  # typed: a cached 2 never answers for 2.0
 def full_space(cutoff: int = 1) -> HilbertSpace:
     """The nine-factor register at the given photon cutoff, built once each.
 

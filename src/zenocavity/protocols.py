@@ -51,8 +51,6 @@ from .spaces import (
     overlap,
 )
 
-ZERO_PROBABILITY_TOL = 1e-12
-
 
 class Protocol(_Choice):
     STATE_TRANSFER = "state_transfer"
@@ -116,11 +114,12 @@ def hadamard_and_reduce(
     The modes and ``keep`` are checked before any arithmetic: a ``keep`` that names
     every factor raises ``InvalidSubsystemError`` (a readout must trace out some factor),
     and a bad ``keep`` raises its own error even where the outcome has probability ~0.
+    A bare string, as ``modes`` or as ``keep``, is one name.
     The plan of the readout is built on each call; only a run's plan is cached.
     """
     interpretation = Interpretation(interpretation)
     convention = GateConvention(convention)
-    modes = list(modes)
+    modes = [modes] if isinstance(modes, str) else list(modes)
     if not modes:
         raise ValueError("at least one mode to act on")
     try:
@@ -134,7 +133,7 @@ def hadamard_and_reduce(
 
     outcomes = tuple(map(int, outcomes)) if interpretation == Interpretation.POSTSELECT else None
     readout = _readout(state.space, modes, outcomes, convention, keep, None)
-    rho, prob = _read(readout, state.vec, outcomes)
+    rho, prob, _ = readout.read(state.vec)
     return DensityOp(readout.space, rho), prob
 
 
@@ -144,27 +143,8 @@ def _readout(space, modes: Sequence[str], outcomes: tuple[int, ...] | None,
     the reduction to ``keep`` and the negativity across ``part``."""
     return ReadoutPlan(space, [(mode, _KRAUS[convention] if outcomes is None
                                 else _POSTSELECTED[convention][o])
-                               for mode, o in zip(modes, outcomes or modes)], keep, part)
-
-
-def _read(readout: ReadoutPlan, vec: np.ndarray,
-          outcomes: tuple[int, ...] | None) -> tuple[np.ndarray, float | None]:
-    """The reduced state of the ket ``vec`` and its post-selection probability.
-
-    Each history is one coherent sequence, one operator per mode; their reductions add
-    incoherently, in order. Post-selected on ``outcomes``, the sum is normalized by the
-    histories' summed squared norms, and a sum below ``ZERO_PROBABILITY_TOL`` is refused;
-    with ``outcomes`` None the probability is None.
-    """
-    histories = readout.histories(vec)
-    prob = None
-    if outcomes is not None:
-        prob = sum(float(np.linalg.norm(h)) ** 2 for h in histories)
-        if prob < ZERO_PROBABILITY_TOL:
-            raise ValueError(f"post-selection on outcome(s) {list(outcomes)} has probability ~0")
-    mats = [readout.reduce(h) for h in histories]
-    rho = sum(mats[1:], start=mats[0])
-    return (rho if prob is None else rho / prob), prob
+                               for mode, o in zip(modes, outcomes or modes)],
+                       outcomes, keep, part)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +307,6 @@ class _Plan(NamedTuple):
     drives: operator.attrgetter      # omega1, then each sector's cavity-B drive
     one_drive: str | None            # the flag of a cavity-B drive where a is driven alone
     readout: ReadoutPlan | None      # the fiber gates, the atoms and their negativity
-    outcomes: tuple[int, ...] | None  # the post-selected outcome of each fiber mode
 
 
 @functools.cache
@@ -350,7 +329,7 @@ def _plan(protocol: Protocol, branch: Branch, restricted: RestrictedSpace,
     drives = [LAYOUT[sector].drive for sector in branch.sectors]
     one_drive = f"{protocol} assumes {' = '.join(drives)} = 0" if definition.one_drive else None
     return _Plan(definition, target, operator.attrgetter("omega1", *drives), one_drive,
-                 readout, outcomes)
+                 readout)
 
 
 def _regime_flags(spec: ProtocolSpec, plan: _Plan) -> list[str]:
@@ -387,13 +366,15 @@ def run(spec: ProtocolSpec, model: BranchModel | None = None) -> ProtocolResult:
     model decomposes each engine's generator once, on its first run of that engine,
     and every later run on it reuses that decomposition and the seed's coordinates in it.
 
-    Raises ``ValueError`` for a model that does not match, a pulse that cannot be timed
-    or a post-selection of probability ~0, ``FloatingPointError`` for a phase error
-    above 1e-2 and ``OverflowError`` for a pulse time that is not finite.
+    Raises ``ValueError`` for a model that does not match (or is not a ``BranchModel``),
+    a pulse that cannot be timed or a post-selection of probability ~0,
+    ``FloatingPointError`` for a phase error above 1e-2 and ``OverflowError`` for a pulse
+    time that is not finite.
     """
     if model is None:
         model = build_branch_model(spec.params, spec.branch)
-    elif model.params != spec.params or model.branch != spec.branch:
+    elif (not isinstance(model, BranchModel) or model.params != spec.params
+          or model.branch != spec.branch):
         raise ValueError("supplied model does not match the protocol spec")
     plan = _plan(spec.protocol, spec.branch, model.restricted, spec.interpretation,
                  spec.outcome, spec.convention)
@@ -411,13 +392,10 @@ def run(spec: ProtocolSpec, model: BranchModel | None = None) -> ProtocolResult:
     final = prob = neg = None
     if plan.definition.readout == "ket":
         final = State(model.restricted, amps)
-    readout = plan.readout
-    if readout is not None:
-        rho, prob = _read(readout, amps, plan.outcomes)
+    if plan.readout is not None:
+        rho, prob, neg = plan.readout.read(amps)
         if final is None:
-            final = DensityOp(readout.space, rho)
-        if plan.definition.negativity:
-            neg = readout.negativity(rho)
+            final = DensityOp(plan.readout.space, rho)
 
     # scoring
     target = _target(plan.target, model)

@@ -8,8 +8,12 @@ Kronecker-product convention of the operator builders in
 :mod:`zenocavity.model`, which also defines the register of the system.
 
 Vectors and density matrices carry a reference to their space; the module-level
-functions (inner products, partial traces, fidelities, negativity, single-mode
-gates) validate compatibility before doing any arithmetic.
+functions (inner products, partial traces, fidelities, negativity) validate
+compatibility before doing any arithmetic. A :class:`ReadoutPlan` is the one
+readout of a ket: single-mode gates, post-selection, reduction and negativity,
+checked when the plan is built. The tests hold it byte for byte to the
+``np.tensordot`` gate and to the transpose formulations of the reduction and
+the partial transpose.
 """
 
 from __future__ import annotations
@@ -63,10 +67,14 @@ class SubsystemSpec:
                 raise InvalidSubsystemError(
                     f"subsystem {self.name!r}: levels must be >= 2 distinct labels"
                 )
-        elif self.cutoff < 1:
-            raise InvalidSubsystemError(
-                f"mode {self.name!r}: photon cutoff must be >= 1, got {self.cutoff}"
-            )
+        else:
+            cutoff = _integer(self.cutoff)
+            if cutoff is None or cutoff < 1:
+                raise InvalidSubsystemError(
+                    f"mode {self.name!r}: photon cutoff must be an integer >= 1,"
+                    f" got {self.cutoff!r}"
+                )
+            object.__setattr__(self, "cutoff", cutoff)  # numpy integers in, a plain int kept
 
     @property
     def is_mode(self) -> bool:
@@ -305,8 +313,11 @@ def _integer(value) -> int | None:
 
 
 def _keep_positions(space: HilbertSpace, keep: Iterable) -> tuple[int, ...]:
-    """The factor positions ``keep`` names, by name or by integer index, in tensor order."""
-    keep, out = list(keep), []
+    """The factor positions ``keep`` names, by name or by integer index, in tensor order.
+
+    A bare string is one name, never a sequence of one-character names.
+    """
+    keep, out = [keep] if isinstance(keep, str) else list(keep), []
     for k in keep:
         i = space.subsystem_index(k) if isinstance(k, str) else _integer(k)
         if i is None:
@@ -459,27 +470,10 @@ def _transpose_map(space: HilbertSpace, partition: Iterable) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# single-mode gates
+# the readout: single-mode gates, post-selection, reduction
 # ---------------------------------------------------------------------------
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-
-
-def apply_on_mode(state: State, mode: str, mat: np.ndarray) -> State:
-    """Apply an arbitrary 2x2 matrix along one cutoff-1 mode axis.
-
-    No unitarity is assumed: measurement and leakage branches need
-    non-unitary factors. Restricted kets are embedded first.
-    """
-    mat = np.asarray(mat, dtype=complex)
-    if mat.shape != (2, 2):
-        raise ValueError(f"mode operator must be 2x2, got shape {mat.shape}")
-    state = embed(state)
-    space = state.space
-    front = _kept_block(space, (_mode_axis(space, mode),))
-    out = np.empty(space.dim, dtype=complex)
-    out[front] = _gate(mat, state.vec.take(front))
-    return State(space, out)
 
 
 def _mode_axis(space: HilbertSpace, mode: str) -> int:
@@ -499,24 +493,31 @@ def _inverse(index: np.ndarray) -> np.ndarray:
     return inverse
 
 
+# A post-selection whose histories' summed squared norms fall below this is refused.
+ZERO_PROBABILITY_TOL = 1e-12
+
+
 class ReadoutPlan:
     """The readout of kets of one space: each mode's gates, one coherent history per
-    operator, then the reduction of each history to the ``keep`` factors and the
-    negativity of a reduction across ``part`` of them, unless ``part`` is None.
+    operator, post-selected unless ``outcomes`` is None (the gates hold the projections, and
+    the outcomes name them when the plan refuses one), then the reduction of each history to
+    the ``keep`` factors and the negativity of their sum across ``part`` of them, unless
+    ``part`` is None.
 
     A plan holds index maps and operators, never an amplitude, and its arrays are
     read-only; build one per structure and reuse it. Its names are checked when it is
-    built: no mode may repeat, and ``keep`` must leave out some factor; its methods check
-    nothing and take the kets and matrices of its own spaces.
-    Each kernel receives the operand that :func:`apply_on_mode`, :func:`partial_trace` and
-    :func:`negativity` give it, so the output bytes are theirs. Restricted kets go straight
+    built: no mode may repeat, and ``keep`` must leave out some factor; :meth:`read`
+    checks nothing and takes the kets of its own space.
+    Each kernel receives the operand that ``np.tensordot``, :func:`partial_trace` and
+    :func:`negativity` give it, so the output bytes are theirs, and the tests hold a plan
+    to the tensordot and transpose formulations byte for byte. Restricted kets go straight
     into the first operand, and the histories pass from one mode's operand to the next
     without the parent vector.
     """
 
     def __init__(self, space: HilbertSpace | RestrictedSpace,
-                 gates: Sequence[tuple[str, Sequence[np.ndarray]]], keep: Iterable,
-                 part: Iterable | None):
+                 gates: Sequence[tuple[str, Sequence[np.ndarray]]],
+                 outcomes: Sequence[int] | None, keep: Iterable, part: Iterable | None):
         restricted = isinstance(space, RestrictedSpace)
         parent = space.parent if restricted else space
         # where a ket's coordinates sit in the first array: the first gate's operand, or
@@ -537,6 +538,7 @@ class ReadoutPlan:
             self._ops.append(tuple(ops))
             self._back = inverse  # the last result back in parent order
         self._into = into
+        self._outcomes = outcomes
         kept = _keep_positions(parent, keep)
         if len(kept) == len(parent.dims):
             raise InvalidSubsystemError("a readout must trace out some factor")
@@ -546,24 +548,34 @@ class ReadoutPlan:
             if array is not None:
                 array.setflags(write=False)
 
-    def histories(self, vec: np.ndarray) -> list[np.ndarray]:
-        """Each history of the ket ``vec`` (coordinates in the plan's space) as a parent-space
-        vector, in :func:`apply_on_mode` order: per mode, operator-major."""
+    def read(self, vec: np.ndarray) -> tuple[np.ndarray, float | None, float | None]:
+        """``(rho, p, negativity)`` of the ket ``vec``, coordinates in the plan's space.
+
+        Each history is one coherent sequence, one operator per mode, taken per mode
+        operator-major; their reductions add incoherently, in order. Post-selected, the sum
+        is normalized by the histories' summed squared norms ``p``, and a ``p`` below
+        ``ZERO_PROBABILITY_TOL`` raises ``ValueError``; otherwise ``p`` is None. The
+        negativity is that of ``rho`` across ``part``, or None.
+        """
         first = np.zeros(self._shape, dtype=complex)
         first.put(self._into, vec)
-        results = [first]
+        histories = [first]
         for ops, gather in zip(self._ops, self._gathers):
-            operands = results if gather is None else [r.take(gather) for r in results]
-            results = [_gate(op, x) for op in ops for x in operands]
-        return results if self._back is None else [r.take(self._back) for r in results]
-
-    def reduce(self, vec: np.ndarray) -> np.ndarray:
-        """The density matrix of a parent-space ket on the kept factors."""
-        return _reduce(vec, self.space, self._rows)
-
-    def negativity(self, mat: np.ndarray) -> float:
-        """The negativity across ``part`` of a density matrix on the kept factors."""
-        return _negativity(mat, self._transpose)
+            operands = histories if gather is None else [h.take(gather) for h in histories]
+            histories = [_gate(op, x) for op in ops for x in operands]
+        if self._back is not None:
+            histories = [h.take(self._back) for h in histories]
+        prob = None
+        if self._outcomes is not None:
+            prob = sum(float(np.linalg.norm(h)) ** 2 for h in histories)
+            if prob < ZERO_PROBABILITY_TOL:
+                raise ValueError(
+                    f"post-selection on outcome(s) {list(self._outcomes)} has probability ~0")
+        mats = [_reduce(h, self.space, self._rows) for h in histories]
+        rho = sum(mats[1:], start=mats[0])
+        if prob is not None:
+            rho = rho / prob
+        return rho, prob, None if self._transpose is None else _negativity(rho, self._transpose)
 
 
 # The kernels: the public functions above and ReadoutPlan make every numeric call here.

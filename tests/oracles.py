@@ -14,8 +14,7 @@ from scipy.sparse.linalg import expm_multiply
 
 import zenocavity as zc
 from zenocavity.model import LAYOUT
-from zenocavity.protocols import ZERO_PROBABILITY_TOL
-from zenocavity.spaces import apply_on_mode, overlap
+from zenocavity.spaces import ZERO_PROBABILITY_TOL, overlap
 
 
 def chain_hamiltonian(params: zc.UniformParams, branch: zc.Branch) -> np.ndarray:
@@ -127,18 +126,23 @@ def two_pass_readout(state: zc.State, modes: list[str], keep: tuple[str, ...],
     ``outcome`` is one int for every mode or a tuple with one per mode.
     """
     outcomes = list(outcome) if isinstance(outcome, tuple) else [outcome] * len(modes)
-    branches = [zc.embed(state)]
+    state = zc.embed(state)
+    space = state.space
+
+    def gate(op, vec, mode):  # a flat ket in C order, as the space indexes it
+        return _on_axis(op, vec.reshape(space.dims), space.subsystem_index(mode)).reshape(-1)
+
+    branches = [state.vec]
     for mode in modes:
-        branches = [apply_on_mode(b, mode, op) for op in _FIBER_KRAUS[convention]
-                    for b in branches]
+        branches = [gate(op, b, mode) for op in _FIBER_KRAUS[convention] for b in branches]
     prob = None
     if interpretation == zc.Interpretation.POSTSELECT:
         for mode, o in zip(modes, outcomes):
-            branches = [apply_on_mode(b, mode, np.diag(np.eye(2)[o])) for b in branches]
-        prob = sum(b.norm() ** 2 for b in branches)
+            branches = [gate(np.diag(np.eye(2)[o]), b, mode) for b in branches]
+        prob = sum(float(np.linalg.norm(b)) ** 2 for b in branches)
         if prob < ZERO_PROBABILITY_TOL:
             raise ValueError(f"post-selection on outcome(s) {outcomes} has probability ~0")
-    reduced = [zc.partial_trace(b, keep) for b in branches]
+    reduced = [zc.partial_trace(zc.State(space, b), keep) for b in branches]
     rho = sum((r.mat for r in reduced[1:]), start=reduced[0].mat)
     if prob is not None:
         rho = rho / prob

@@ -7,7 +7,6 @@ import io
 import json
 import math
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -945,11 +944,8 @@ def test_each_flag_text_reaches_its_stream(capsys, argv, stream, text):
 
 
 @pytest.mark.parametrize("argv, stream, text", _FLAG_TEXTS.values(), ids=_FLAG_TEXTS)
-def test_the_console_script_prints_each_flag_text(argv, stream, text):
-    script = shutil.which("zenocavity")
-    if script is None:
-        pytest.skip("the zenocavity console script is not installed")
-    done = subprocess.run([script, *argv], capture_output=True, text=True, timeout=300)
+def test_the_console_script_prints_each_flag_text(console_script, argv, stream, text):
+    done = subprocess.run([console_script, *argv], capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert text in getattr(done, stream)
 
@@ -1017,12 +1013,9 @@ def test_each_entry_argv_exits_as_documented(entry_dir, capsys, key):
 
 
 @pytest.mark.parametrize("key", _ENTRY_ARGV)
-def test_the_console_script_answers_as_the_module_does(entry_dir, key):
-    script = shutil.which("zenocavity")
-    if script is None:
-        pytest.skip("the zenocavity console script is not installed")
+def test_the_console_script_answers_as_the_module_does(console_script, entry_dir, key):
     argv = _entry_argv(key, entry_dir)
-    via_script = _run([script, *argv])
+    via_script = _run([console_script, *argv])
     via_module = _python("-m", "zenocavity.cli", *argv)
     assert via_script.returncode == _ENTRY_ARGV[key][1], via_script.stderr
     assert "Traceback" not in via_script.stderr

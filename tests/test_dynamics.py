@@ -231,6 +231,12 @@ def test_zeno_ratio():
     assert abs(zc.zeno_ratio(p) - 0.1) < ATOL
 
 
+@pytest.mark.parametrize("g, lam", [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
+def test_the_zeno_ratio_needs_both_couplings(g, lam):
+    with pytest.raises(ValueError, match="g > 0 and lam > 0"):
+        zc.zeno_ratio(zc.UniformParams(g, lam, omega1=0.01))
+
+
 def test_compare_full_vs_effective(st_model):
     tau = zc.solve_timing(st_model.params, zc.Branch.LEFT)
     rows = zc.compare_full_vs_effective(st_model, [0.0, tau])

@@ -24,12 +24,12 @@ from zenocavity.protocols import (
     Interpretation,
     Protocol,
     ProtocolSpec,
-    ZERO_PROBABILITY_TOL,
     _PROTOCOLS,
     default_spec,
     hadamard_and_reduce,
     run,
 )
+from zenocavity.spaces import ZERO_PROBABILITY_TOL
 
 # full-engine regressions at the per-protocol default parameters
 ST_FULL = 0.9999449868575423
@@ -335,6 +335,15 @@ def test_a_readout_entry_that_is_not_a_name_is_refused(space1, modes, keep, mess
             hadamard_and_reduce(psi, modes, keep, interpretation)
 
 
+@pytest.mark.parametrize("interpretation", list(Interpretation))
+def test_a_bare_string_is_one_mode_and_one_kept_factor(space1, interpretation):
+    psi = space1.ket(a="g_l", b="g_l", c="g_r", F_l=1)
+    want = hadamard_and_reduce(psi, ["F_l"], ["a"], interpretation)
+    got = hadamard_and_reduce(psi, "F_l", "a", interpretation)
+    assert got[0].space == want[0].space and got[0].mat.tobytes() == want[0].mat.tobytes()
+    assert got[1] == want[1]
+
+
 def test_a_bad_keep_set_is_refused_before_an_outcome_of_probability_0():
     # H (|0> - |1>)/sqrt2 = |1>: outcome 0 cannot occur
     psi = (_ATOM_AND_MODE.ket(a="g") + (-1) * _ATOM_AND_MODE.ket(a="g", F=1)) * (1 / math.sqrt(2))
@@ -473,8 +482,9 @@ def test_spec_names_the_choices_of_a_bad_value(key, value, choices):
 
 def test_run_rejects_mismatched_model(st_model):
     spec = default_spec("bell")
-    with pytest.raises(ValueError, match="does not match"):
-        run(spec, model=st_model)
+    for model in (st_model, "model", spec.params):  # another branch's model, then no model
+        with pytest.raises(ValueError, match="supplied model does not match the protocol spec"):
+            run(spec, model=model)
 
 
 def test_result_dict_shape_and_determinism(st_model):
@@ -587,6 +597,7 @@ def test_run_is_the_reference_run_byte_for_byte(pair, couplings, log_r, seconds,
 
 def test_a_warm_run_builds_no_space_and_no_ket(monkeypatch):
     specs = _every_branch_spec()
+    zc.protocols._plan.cache_clear()  # a plan an earlier test cached is no warm-up of this one
     for spec in specs:
         run(spec)  # the first run of a (protocol, branch) may build its structure
     calls = []

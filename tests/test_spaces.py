@@ -19,7 +19,6 @@ from zenocavity.spaces import (
     InvalidSubsystemError,
     SpaceMismatchError,
     SubsystemSpec,
-    apply_on_mode,
     density,
 )
 
@@ -66,6 +65,25 @@ def test_subsystem_spec_needs_exactly_one_kind():
         zc.SubsystemSpec("x", levels=("a", "a"))
     assert boson_mode("m", cutoff=2).dim == 3
     assert atom_a().dim == 6
+
+
+_NOT_AN_INTEGER_CUTOFF = "photon cutoff must be an integer >= 1"
+
+
+@pytest.mark.parametrize("cutoff", [1.5, 2.0, np.float64(1.0), "2", True], ids=repr)
+def test_a_mode_cutoff_is_an_integer(cutoff):
+    with pytest.raises(InvalidSubsystemError, match=_NOT_AN_INTEGER_CUTOFF):
+        SubsystemSpec("m", cutoff=cutoff)
+
+
+def test_a_register_cutoff_is_an_integer():
+    zc.full_space(2)  # a register cached for 2 answers for neither 2.0 nor True
+    for cutoff in (1.5, 2.0, True):
+        with pytest.raises(InvalidSubsystemError, match=_NOT_AN_INTEGER_CUTOFF):
+            zc.full_space(cutoff)
+    mode = SubsystemSpec("m", cutoff=np.int64(2))
+    assert type(mode.cutoff) is int and mode == boson_mode("m", cutoff=2)
+    assert zc.full_space(np.int64(2)) == zc.full_space(2)
 
 
 def test_standard_space_shape(space1):
@@ -332,26 +350,25 @@ def test_hadamard_constant_is_unitary():
     assert np.allclose(zc.HADAMARD @ zc.HADAMARD.T, np.eye(2), atol=ATOL)
 
 
-def test_apply_on_mode_targets_one_axis(space1):
+def test_the_hadamard_acts_on_one_axis(space1):
     psi = space1.ket(a="g_l", b="g_l", c="g_r", F_l=1)
-    out = apply_on_mode(psi, "F_l", zc.HADAMARD)
-    zero = space1.ket(a="g_l", b="g_l", c="g_r")
-    assert abs(zc.inner(zero, out) - 1 / math.sqrt(2)) < ATOL
-    assert abs(zc.inner(psi, out) + 1 / math.sqrt(2)) < ATOL
-    # a spectator ket is untouched up to the same amplitude pattern
-    other = space1.ket(a="f_l", b="g_l", c="g_r")
-    assert abs(zc.inner(other, out)) < ATOL
+    rho, p = zc.hadamard_and_reduce(psi, ["F_l"], ["a", "F_l"], "trace")
+    assert p is None
+    # H|1> = (|0> - |1>)/sqrt2 on F_l, and a spectator ket keeps no amplitude
+    zero, one = (rho.space.ket(a="g_l", F_l=n).vec for n in (0, 1))
+    out = (zero - one) / math.sqrt(2)
+    assert np.allclose(rho.mat, np.outer(out, out.conj()), atol=ATOL)
 
 
-def test_apply_mode_gate_validation(space1):
+@pytest.mark.parametrize("interpretation", list(zc.Interpretation))
+def test_a_mode_gate_needs_a_cutoff_1_mode(space1, interpretation):
     psi = space1.ket(a="g_l", b="g_l", c="g_r")
-    with pytest.raises(InvalidSubsystemError):
-        apply_on_mode(psi, "a", zc.HADAMARD)
-    with pytest.raises(ValueError):
-        apply_on_mode(psi, "F_l", np.eye(3))
+    message = "is not a cutoff-1 boson mode"
+    with pytest.raises(InvalidSubsystemError, match=message):
+        zc.hadamard_and_reduce(psi, ["a"], ["b"], interpretation)
     sp2 = zc.HilbertSpace([atom_b(), boson_mode("m", cutoff=2)])
-    with pytest.raises(InvalidSubsystemError):
-        apply_on_mode(sp2.ket(b="g_l"), "m", zc.HADAMARD)
+    with pytest.raises(InvalidSubsystemError, match=message):
+        zc.hadamard_and_reduce(sp2.ket(b="g_l"), ["m"], ["b"], interpretation)
 
 
 # every operator the protocols put on a mode, plus None for a random matrix
@@ -362,16 +379,19 @@ _MODE_OPERATORS = [None, zc.HADAMARD, *(op for ops in _KRAUS.values() for op in 
 
 @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(MODE_NAMES),
        mat=st.sampled_from(_MODE_OPERATORS), sparse=st.booleans(), data=st.data())
-def test_apply_on_mode_is_the_tensordot_contraction_byte_for_byte(space1, seed, mode, mat,
-                                                                  sparse, data):
+def test_a_one_mode_plan_is_the_tensordot_contraction_byte_for_byte(space1, seed, mode, mat,
+                                                                    sparse, data):
     psi = data.draw(_sparse_kets(space1)) if sparse else _random_state(space1, seed)
+    kept = data.draw(st.sampled_from(_kept_sets(space1, 216)))
     rng = np.random.default_rng(seed)
     if mat is None:
         mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     axis = space1.subsystem_index(mode)
     tensor = np.tensordot(mat, zc.embed(psi).vec.reshape(space1.dims), axes=([1], [axis]))
-    want = np.moveaxis(tensor, 0, axis).reshape(space1.dim)
-    assert apply_on_mode(psi, mode, mat).vec.tobytes() == want.tobytes()
+    gated = zc.State(space1, np.moveaxis(tensor, 0, axis).reshape(space1.dim))
+    rho, p, neg = spaces.ReadoutPlan(psi.space, [(mode, [mat])], None, kept, None).read(psi.vec)
+    assert (p, neg) == (None, None)
+    assert rho.tobytes() == oracles.reduced_density(gated, kept).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +531,15 @@ def test_a_keep_or_partition_entry_is_a_name_or_an_integer(space1, keep):
     message = re.escape(_BAD_ENTRY + repr(keep[-1]))
     for call in (lambda: zc.partial_trace(psi, keep), lambda: zc.negativity(rho, keep)):
         with pytest.raises(InvalidSubsystemError, match=message):
+            call()
+
+
+def test_a_bare_string_is_one_name(space1):
+    psi = zc.initial_state(space1, zc.Branch.LEFT)
+    assert zc.partial_trace(psi, "a").mat.tobytes() == zc.partial_trace(psi, ["a"]).mat.tobytes()
+    rho = zc.partial_trace(psi, ("a", "b"))
+    for call in (lambda: zc.partial_trace(psi, "ab"), lambda: zc.negativity(rho, "ab")):
+        with pytest.raises(InvalidSubsystemError, match="no subsystem named 'ab'"):
             call()
 
 
