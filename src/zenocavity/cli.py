@@ -26,6 +26,7 @@ library callers run in-process, leaves the heap as it is.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import io
 import itertools
@@ -111,10 +112,8 @@ def _atomic_write(path: str, text: str) -> None:
                 handle.write(text)
             os.replace(tmp, path)
         except BaseException:
-            try:
+            with contextlib.suppress(OSError):
                 os.unlink(tmp)
-            except OSError:
-                pass
             raise
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None

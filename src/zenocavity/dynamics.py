@@ -229,7 +229,11 @@ def compare_full_vs_effective(model: BranchModel, taus) -> list[ComparisonRow]:
 
     Returns ``|<psi_eff(tau)|psi_full(tau)>|^2`` and the larger phase error's flag per
     requested duration; the gap measures how far the operating point is from the Zeno limit.
+    Raises ``ValueError`` unless ``model`` is a :class:`BranchModel`, and ``TypeError``
+    unless ``taus`` is an iterable of real numbers.
     """
+    if not isinstance(model, BranchModel):
+        raise ValueError(f"expected BranchModel, got {type(model).__name__}")
     (full, full_coords), (eff, eff_coords) = (model_propagator(model, e) for e in (False, True))
     rows = []
     for tau in taus:

@@ -43,14 +43,7 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 
-class _Choice(str, enum.Enum):
-    """A string enum that renders as its bare value in CLI and JSON output."""
-
-    def __str__(self) -> str:
-        return self.value
-
-
-class Branch(_Choice):
+class Branch(enum.StrEnum):
     """Which polarization sector a computation lives in."""
 
     LEFT = "left"

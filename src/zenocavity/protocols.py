@@ -24,6 +24,7 @@ protocols are for. Only a phase error above 1e-2 fails the run.
 
 from __future__ import annotations
 
+import enum
 import functools
 import math
 import operator
@@ -39,7 +40,7 @@ from .dynamics import (
     solve_timing,
     zeno_ratio,
 )
-from .model import LAYOUT, Branch, BranchModel, UniformParams, _Choice, build_branch_model
+from .model import LAYOUT, Branch, BranchModel, UniformParams, build_branch_model
 from .spaces import (
     HADAMARD,
     DensityOp,
@@ -52,7 +53,7 @@ from .spaces import (
 )
 
 
-class Protocol(_Choice):
+class Protocol(enum.StrEnum):
     STATE_TRANSFER = "state_transfer"
     THREE_DIM = "threedim"
     BELL = "bell"
@@ -61,17 +62,17 @@ class Protocol(_Choice):
     SIX_DIM = "sixdim"
 
 
-class Engine(_Choice):
+class Engine(enum.StrEnum):
     EFFECTIVE = "effective"   # dark-block generator
     FULL = "full"             # restricted sector Hamiltonian
 
 
-class Interpretation(_Choice):
+class Interpretation(enum.StrEnum):
     POSTSELECT = "postselect"
     TRACE = "trace"
 
 
-class GateConvention(_Choice):
+class GateConvention(enum.StrEnum):
     UNITARY = "unitary"
     BEAMSPLITTER = "beamsplitter"
 

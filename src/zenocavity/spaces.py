@@ -114,11 +114,6 @@ class HilbertSpace:
         self.subsystems = subsystems
         self.dims = tuple(s.dim for s in subsystems)
         self.dim = int(np.prod(self.dims))
-        # suffix-product strides; index = occ . strides
-        strides = [1] * len(self.dims)
-        for i in range(len(self.dims) - 2, -1, -1):
-            strides[i] = strides[i + 1] * self.dims[i + 1]
-        self._strides = tuple(strides)
         self._by_name = {s.name: i for i, s in enumerate(subsystems)}
         # every functools.cache keyed on a space hashes it; the factors never change
         self._hash = hash(subsystems)
@@ -148,11 +143,11 @@ class HilbertSpace:
                 f"occupation length {len(occupation)} != {len(self.dims)} subsystems"
             )
         for n, d in zip(occupation, self.dims):
-            if not 0 <= n < d:
+            if _integer(n) is None or not 0 <= n < d:  # a fraction would index another state
                 raise InvalidSubsystemError(
-                    f"occupation {occupation} out of range for dims {self.dims}"
+                    f"occupation {occupation} must hold integers 0 <= n < d for dims {self.dims}"
                 )
-        return int(sum(n * s for n, s in zip(occupation, self._strides)))
+        return int(np.ravel_multi_index(occupation, self.dims))
 
     def ket(self, **assignments) -> "State":
         """Basis ket by subsystem name; unassigned modes default to vacuum.
@@ -161,17 +156,15 @@ class HilbertSpace:
         (``m=1``). Every atom must be assigned.
         """
         occ = []
-        seen = set()
         for sub in self.subsystems:
             if sub.name in assignments:
-                seen.add(sub.name)
                 val = assignments[sub.name]
                 occ.append(val if sub.is_mode else sub.level_index(val))
             elif sub.is_mode:
                 occ.append(0)
             else:
                 raise InvalidSubsystemError(f"atom {sub.name!r} needs a level")
-        extra = set(assignments) - seen
+        extra = set(assignments) - set(self._by_name)
         if extra:
             raise InvalidSubsystemError(f"unknown subsystem names: {sorted(extra)}")
         vec = np.zeros(self.dim, dtype=complex)
@@ -288,7 +281,10 @@ def density(state: State) -> DensityOp:
 
 
 def embed(state: State) -> State:
-    """Lift a restricted-space ket to its parent space (no-op otherwise)."""
+    """Lift a restricted-space ket to its parent space (no-op otherwise); ``TypeError`` if
+    ``state`` is not a :class:`State`."""
+    if not isinstance(state, State):
+        raise TypeError(f"expected State, got {type(state).__name__}")
     if isinstance(state.space, RestrictedSpace):
         return State(state.space.parent, state.space.embed(state.vec))
     return state

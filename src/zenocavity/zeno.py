@@ -279,8 +279,11 @@ def printed_bright_forms(params: UniformParams) -> np.ndarray:
     These are kept only for comparison reports: their quoted prefactors are
     mutually inconsistent (the first two columns are genuine eigenvectors,
     the last two are not), which is why :func:`analytic_dark_bright` takes
-    bright states from the eigensolver instead.
+    bright states from the eigensolver instead. Raises ``TypeError`` unless ``params`` is a
+    :class:`UniformParams`.
     """
+    if not isinstance(params, UniformParams):
+        raise TypeError(f"expected UniformParams, got {type(params).__name__}")
     if params.g <= 0 or params.lam <= 0:
         raise DegenerateStructureError("bright forms need g > 0 and lam > 0")
     chi = params.chi()

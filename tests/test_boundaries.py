@@ -11,9 +11,6 @@ MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "zenocavity").gl
 
 # (importing module, imported module, name) -> why that private name still crosses
 ALLOWED = {
-    ("protocols", "model", "_Choice"):
-        "the str-valued enum base of Branch and the protocol choices; enum.StrEnum"
-        " would replace it but needs Python 3.11, and requires-python is >=3.10",
     ("dynamics", "spaces", "_integer"):
         "the one integer rule (numpy integers in, bools out) of keep entries, pulse counts"
         " and outcomes; public, it would be an API name for an input check",

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -762,15 +763,28 @@ assert dict(os.environ) == before, set(os.environ.items()) ^ set(before.items())
 print(threads() - started)
 """
 
-_GOLDEN_OUTPUTS = r"""
+# every golden pin, then every report pin; the commands' flag lines go nowhere, so that
+# stderr holds only a failing pin's traceback
+_BYTE_PINS = r"""
+import contextlib, io
 import test_golden as golden
+import test_reports as reports
 
-for part, test in (("protocol-cli", golden.test_protocol_cli_bytes),
-                   ("run-reuse", golden.test_run_reuse_bytes),
-                   ("sweep-grid", golden.test_sweep_grid_bytes)):
-    for key in sorted(golden.REFERENCE[part]):
-        test(key)
+with contextlib.redirect_stderr(io.StringIO()):
+    for part, test in (("protocol-cli", golden.test_protocol_cli_bytes),
+                       ("run-reuse", golden.test_run_reuse_bytes),
+                       ("sweep-grid", golden.test_sweep_grid_bytes)):
+        for key in sorted(golden.REFERENCE[part]):
+            test(key)
+    for key in sorted(reports.REPORTS):
+        reports.test_report_bytes(key)
 """
+
+PYPROJECT = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+# the suite's warning filters as the interpreter's -W options: a warning fails a fresh
+# process as it fails a test
+_WARNINGS_AS_ERRORS = [f"-W{entry}" for entry in
+                       PYPROJECT["tool"]["pytest"]["ini_options"]["filterwarnings"]]
 
 
 def _run(argv, **threads):
@@ -833,10 +847,14 @@ def test_scipys_lapack_loads_only_when_a_command_first_needs_it():
     _fresh_process(_LAPACK_LOADS_ON_FIRST_USE)
 
 
-@pytest.mark.parametrize("threads", [{}, {"OPENBLAS_NUM_THREADS": "2"}],
-                         ids=["unset", "OPENBLAS_NUM_THREADS=2"])
+@pytest.mark.parametrize("threads", [{}, {"OPENBLAS_NUM_THREADS": "1"},
+                                     {"OPENBLAS_NUM_THREADS": "2"}],
+                         ids=["unset", "OPENBLAS_NUM_THREADS=1", "OPENBLAS_NUM_THREADS=2"])
 def test_golden_outputs_do_not_depend_on_blas_threads(threads):
-    _fresh_process(_GOLDEN_OUTPUTS, **threads)
+    # the golden and report pins, under the suite's warning filters, in a fresh process per
+    # thread setting: OpenBLAS sizes its pool once, when it loads
+    done = _python(*_WARNINGS_AS_ERRORS, "-c", _BYTE_PINS, **threads)
+    assert done.returncode == 0, done.stderr
 
 
 # the full engine on both sectors, the splitter's Kraus histories, the spectrum, a two-axis
@@ -1024,9 +1042,7 @@ def test_the_console_script_answers_as_the_module_does(console_script, entry_dir
 
 
 def test_the_console_script_is_the_module_entry():
-    tomllib = pytest.importorskip("tomllib")
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["zenocavity"]
+    target = PYPROJECT["project"]["scripts"]["zenocavity"]
     module, _, name = target.partition(":")
     assert module == "zenocavity.cli"
     assert getattr(cli, name, None) is cli.entry

@@ -245,6 +245,20 @@ def test_compare_full_vs_effective(st_model):
     assert 0.99 < rows[1].fidelity <= 1.0 + ATOL
 
 
+@pytest.mark.parametrize("model", ["model", None, zc.UniformParams(1.0, 1.0)],
+                         ids=["str", "None", "params"])
+def test_compare_refuses_what_is_not_a_model(model):
+    # a str raised the weak-reference TypeError of the propagator cache
+    with pytest.raises(ValueError, match=f"expected BranchModel, got {type(model).__name__}$"):
+        zc.compare_full_vs_effective(model, [1.0])
+
+
+def test_compare_documents_the_type_error_of_taus_that_are_not_iterable(st_model):
+    with pytest.raises(TypeError, match="not iterable"):
+        zc.compare_full_vs_effective(st_model, None)
+    assert "``TypeError``" in zc.compare_full_vs_effective.__doc__
+
+
 # ---------------------------------------------------------------------------
 # one decomposition per (model, engine)
 # ---------------------------------------------------------------------------

@@ -480,6 +480,17 @@ def test_spec_names_the_choices_of_a_bad_value(key, value, choices):
         default_spec("state_transfer", **{key: value})
 
 
+_CHOICES = [member for kind in (zc.Branch, Protocol, Engine, Interpretation, GateConvention)
+            for member in kind]
+
+
+@pytest.mark.parametrize("member", _CHOICES, ids=lambda m: f"{type(m).__name__}.{m.name}")
+def test_a_choice_renders_as_its_bare_value(member):
+    # CLI output, result JSON and error messages print members as they print their values
+    assert str(member) == f"{member}" == member.value
+    assert json.dumps(member) == json.dumps(member.value)
+
+
 def test_run_rejects_mismatched_model(st_model):
     spec = default_spec("bell")
     for model in (st_model, "model", spec.params):  # another branch's model, then no model

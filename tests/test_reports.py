@@ -11,11 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from test_golden import _cli_stdout
+from test_golden import _cli_stdout, pinned_on
 
 REPORTS = json.loads((Path(__file__).resolve().parent / "data" / "reports.json").read_text())
 
 
 @pytest.mark.parametrize("key", sorted(REPORTS))
 def test_report_bytes(key):
-    assert _cli_stdout(key.split()) == REPORTS[key]
+    assert _cli_stdout(key.split()) == REPORTS[key], pinned_on()

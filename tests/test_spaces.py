@@ -121,6 +121,15 @@ def test_index_validation(space1):
         space1.index((6, 0, 0, 0, 0, 0, 0, 0, 0))
 
 
+@pytest.mark.parametrize("photons", [0.5, 1.0, True, "1"], ids=["half", "float", "bool", "str"])
+def test_a_photon_number_is_an_integer(space1, photons):
+    # 0.5 photons in A_l indexed basis state 528: neither vacuum (512) nor one photon (544)
+    with pytest.raises(InvalidSubsystemError, match="must hold integers"):
+        space1.ket(a="f_l", b="g_l", c="g_r", A_l=photons)
+    with pytest.raises(InvalidSubsystemError, match="must hold integers"):
+        space1.index((0, 0, 0, photons, 0, 0, 0, 0, 0))
+
+
 def test_ket_defaults_and_errors(space1):
     k = space1.ket(a="g_l", b="g_l", c="g_r", A_l=1)
     occ = oracles.occupation(space1, int(np.argmax(np.abs(k.vec))))
@@ -177,6 +186,13 @@ def test_embed_lifts_restricted_kets(space1):
     assert lifted.space is space1
     assert abs(lifted.norm() - 1.0) < ATOL
     assert zc.embed(lifted) is lifted
+
+
+@pytest.mark.parametrize("value", [1, None, "psi"], ids=["int", "None", "str"])
+def test_embed_names_what_is_not_a_state(value):
+    # it read value.space and raised AttributeError
+    with pytest.raises(TypeError, match=f"expected State, got {type(value).__name__}$"):
+        zc.embed(value)
 
 
 # ---------------------------------------------------------------------------

@@ -359,6 +359,14 @@ def test_combined_basis_carries_each_sectors_printed_overlaps(combined_model):
     assert overlaps[zc.Branch.LEFT][:2] == pytest.approx((1.0, 1.0), abs=1e-10)
 
 
+@pytest.mark.parametrize("params", [None, 1.0], ids=["None", "float"])
+def test_printed_bright_forms_names_what_is_not_a_parameter_point(params):
+    # it read params.g and raised AttributeError
+    with pytest.raises(TypeError, match=f"expected UniformParams, got {type(params).__name__}$"):
+        zc.printed_bright_forms(params)
+    assert "``TypeError``" in zc.printed_bright_forms.__doc__
+
+
 def test_printed_bright_forms_partially_wrong(left_model):
     forms = zc.printed_bright_forms(PARAMS)
     assert np.allclose(np.linalg.norm(forms, axis=0), 1.0, atol=ATOL)
