@@ -13,17 +13,14 @@ of it.
 
 from .spaces import (
     DensityOp,
-    HADAMARD,
     HilbertSpace,
     InvalidSubsystemError,
     RestrictedSpace,
     SpaceMismatchError,
     State,
     SubsystemSpec,
-    density,
     embed,
     fidelity,
-    inner,
     negativity,
     partial_trace,
 )
@@ -35,8 +32,6 @@ from .model import (
     build_branch_model,
     build_hamiltonian,
     full_space,
-    initial_state,
-    reachable_subspace,
     restrict,
     sector_kets,
 )
@@ -49,7 +44,6 @@ from .zeno import (
     decompose,
     predicted_strong_spectrum,
     principal_angles,
-    printed_bright_forms,
     sector_dark_columns,
     zeno_hamiltonian,
 )
@@ -88,7 +82,6 @@ __all__ = [
     "DriveAngles",
     "Engine",
     "GateConvention",
-    "HADAMARD",
     "HALF_PI",
     "HamiltonianParts",
     "HilbertSpace",
@@ -111,21 +104,16 @@ __all__ = [
     "compare_full_vs_effective",
     "decompose",
     "default_spec",
-    "density",
     "effective_generator",
     "effective_matrix",
     "embed",
     "fidelity",
     "full_space",
     "hadamard_and_reduce",
-    "initial_state",
-    "inner",
     "negativity",
     "partial_trace",
     "predicted_strong_spectrum",
     "principal_angles",
-    "printed_bright_forms",
-    "reachable_subspace",
     "restrict",
     "run",
     "sector_dark_columns",

@@ -85,6 +85,7 @@ class DriveAngles:
 
     @classmethod
     def of(cls, params: UniformParams, branch: Branch) -> "DriveAngles":
+        """The pulse of one sector; ``TypeError`` unless ``params`` is a :class:`UniformParams`."""
         om_a, om_b, omega, rate = _pulse(params, branch)
         return cls(om_a, om_b, omega, math.atan2(om_b, om_a), rate)
 
@@ -101,6 +102,8 @@ class DriveAngles:
 
 def _pulse(params: UniformParams, branch: Branch) -> tuple[float, float, float, float]:
     """One sector's two drives, ``omega`` and the dark-sector phase rate, checked."""
+    if not isinstance(params, UniformParams):
+        raise TypeError(f"expected UniformParams, got {type(params).__name__}")
     layout = LAYOUT.get(branch)
     if layout is None:
         raise ValueError("combined evolution is per-sector; pick a branch")
@@ -114,7 +117,8 @@ def _pulse(params: UniformParams, branch: Branch) -> tuple[float, float, float, 
 
 
 def effective_matrix(params: UniformParams, branch: Branch) -> np.ndarray:
-    """The dark-block generator in (D0, D1, D2) coordinates for one branch."""
+    """The dark-block generator in (D0, D1, D2) coordinates for one branch; ``TypeError``
+    unless ``params`` is a :class:`UniformParams`."""
     ang = DriveAngles.of(params, branch)
     w = params.lam / (params.g * params.chi())
     m = np.zeros((3, 3))
@@ -127,8 +131,11 @@ def effective_generator(model: BranchModel) -> np.ndarray:
     """The dark-block generator embedded in restricted coordinates.
 
     For the combined branch this is the direct sum of the two sector blocks,
-    which is exact because the sectors never couple.
+    which is exact because the sectors never couple. Raises ``TypeError`` unless ``model``
+    is a :class:`BranchModel`.
     """
+    if not isinstance(model, BranchModel):
+        raise TypeError(f"expected BranchModel, got {type(model).__name__}")
     h = np.zeros((model.dim, model.dim))
     for sector in model.branch.sectors:
         dark = model.dark[sector]
@@ -180,7 +187,8 @@ def solve_timing(params: UniformParams, branch: Branch | str, condition: str = H
     ``pi`` condition only implements the transfer for odd ``k`` (even
     multiples return the initial state), which callers surface as a flag.
     For the combined branch the two sectors share one clock, so their
-    second drives must be equal.
+    second drives must be equal. Raises ``TypeError`` unless ``params`` is a
+    :class:`UniformParams`.
     """
     branch, count = Branch(branch), _integer(k)
     if count is None or count < 1:
@@ -191,8 +199,9 @@ def solve_timing(params: UniformParams, branch: Branch | str, condition: str = H
         target = count * math.pi
     else:
         raise ValueError(f"unknown timing condition {condition!r}")
-    if branch == Branch.COMBINED and not math.isclose(params.omega2, params.omega3,
-                                                      rel_tol=1e-12, abs_tol=0.0):
+    # _pulse refuses a params that is not a UniformParams
+    if (branch == Branch.COMBINED and isinstance(params, UniformParams)
+            and not math.isclose(params.omega2, params.omega3, rel_tol=1e-12, abs_tol=0.0)):
         raise ValueError("combined timing needs omega2 == omega3 (one pulse clock for"
                          f" both sectors), got {params.omega2} vs {params.omega3}")
     rate = _pulse(params, branch.sectors[0])[3]
@@ -205,8 +214,11 @@ def solve_timing(params: UniformParams, branch: Branch | str, condition: str = H
 def zeno_ratio(params: UniformParams) -> float:
     """Largest drive over the smallest strong coupling; small means Zeno regime.
 
-    Raises ``ValueError`` unless g > 0 and lam > 0.
+    Raises ``TypeError`` unless ``params`` is a :class:`UniformParams`, and ``ValueError``
+    unless g > 0 and lam > 0.
     """
+    if not isinstance(params, UniformParams):
+        raise TypeError(f"expected UniformParams, got {type(params).__name__}")
     strong = min(params.g, params.lam)
     if strong <= 0:
         raise ValueError("the Zeno ratio needs g > 0 and lam > 0")

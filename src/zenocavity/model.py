@@ -13,10 +13,11 @@ polarization is a chain of seven states, one link per coupling term, so a
 branch is 7-dimensional (14 for the combined two-branch space). A branch
 model is built from those chain links alone. The full-space path stays as
 its oracle: :func:`build_hamiltonian` sums each term as a plain ``sp.kron``
-chain over the nine factors (CSR), :func:`reachable_subspace` finds a sector
-as the closure over every nonzero coupling, however small, and
-:func:`restrict` compresses an operator onto it as a dense matrix. Only
-these three import ``scipy.sparse``.
+chain over the nine factors (CSR), and :func:`restrict` compresses an
+operator onto a sector as a dense matrix. Only these two import
+``scipy.sparse``. The tests find the sector themselves, as the closure of
+the seed over every nonzero coupling, however small
+(``tests/oracles.reachable_subspace``).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import numpy as np
 
 from .spaces import (
     HilbertSpace,
-    InvalidSubsystemError,
     RestrictedSpace,
     SpaceMismatchError,
     State,
@@ -217,41 +217,6 @@ def build_hamiltonian(
                             strong, strong + parts["drive"])
 
 
-# ---------------------------------------------------------------------------
-# sector closure and restriction
-# ---------------------------------------------------------------------------
-
-def reachable_subspace(h, seed: State) -> RestrictedSpace:
-    """Breadth-first closure of the seed's support under a Hamiltonian.
-
-    Membership is structural: every nonzero stored entry is a link, however
-    small, so the closure holds the same states as the cached sector at any
-    g, lam > 0. Basis states are added in FIFO discovery order with neighbors
-    sorted by basis index, so the result is deterministic; for a single-state
-    seed driven along a coupling chain this reproduces the natural chain order.
-    """
-    import scipy.sparse as sp
-
-    space = seed.space
-    if isinstance(space, RestrictedSpace):
-        raise InvalidSubsystemError("seed must live on the full space")
-    h = sp.csr_matrix(h)
-    if h.shape != (space.dim, space.dim):
-        raise InvalidSubsystemError("Hamiltonian shape does not match the seed's space")
-
-    queue = [int(i) for i in np.flatnonzero(seed.vec)]
-    if not queue:
-        raise ValueError("seed state is zero")
-    seen = set(queue)
-    for i in queue:  # the list grows as it is read: a FIFO queue
-        lo, hi = h.indptr[i], h.indptr[i + 1]
-        for j in sorted(int(j) for j in h.indices[lo:hi][h.data[lo:hi] != 0]):
-            if j not in seen:
-                seen.add(j)
-                queue.append(j)
-    return RestrictedSpace(space, tuple(queue))
-
-
 def restrict(h, subspace: RestrictedSpace) -> np.ndarray:
     """Compress a parent-space operator onto a restricted basis (dense output).
 
@@ -277,8 +242,10 @@ def sector_kets(space: HilbertSpace, branch: Branch) -> list[State]:
 
     Order: driven atom still in f, excited cavity-A atom, photon in cavity A,
     photon in the fiber, photon in cavity B, excited cavity-B atom, cavity-B
-    atom transferred to f.
+    atom transferred to f. Raises ``TypeError`` unless ``space`` is a :class:`HilbertSpace`.
     """
+    if not isinstance(space, HilbertSpace):
+        raise TypeError(f"expected HilbertSpace, got {type(space).__name__}")
     if branch not in LAYOUT:
         raise ValueError("sector_kets is defined per polarization branch")
     layout = LAYOUT[branch]
@@ -316,8 +283,8 @@ def _sector(branch: Branch, space: HilbertSpace) -> _Sector:
     Each polarization sector is the chain of its :func:`sector_kets`, linked by
     the couplings of :attr:`_Layout.links`. The basis interleaves the chains,
     state by state, the chain with the lower head parent index first. That is
-    the order in which :func:`reachable_subspace` reaches those kets from the
-    seed: the heads, then breadth first along the disjoint equal-length chains.
+    the order in which a breadth-first closure over the couplings reaches those
+    kets from the seed: the heads, then along the disjoint equal-length chains.
     Each unit block holds 1.0 on its coupling's links, which is the restriction
     of that coupling's full Hamiltonian at value 1. Membership is structural,
     so a tiny ``g`` or a switched-off drive keeps its link.
@@ -399,11 +366,14 @@ def build_branch_model(
     protocol drive is zero. Every block is linear in the couplings, so each
     call is a five-term combination of the cached unit blocks; each chain
     entry comes from exactly one coupling term, so the result equals a fresh
-    restriction of :func:`build_hamiltonian` to :func:`reachable_subspace` bit
+    restriction of :func:`build_hamiltonian` to the closure of the seed bit
     for bit. That full-space path, a sum of plain ``sp.kron`` chains, is the
     oracle only. The blocks are read-only: a run caches each engine's
-    decomposition per model, which a write would silently bypass.
+    decomposition per model, which a write would silently bypass. Raises
+    ``TypeError`` unless ``params`` is a :class:`UniformParams`.
     """
+    if not isinstance(params, UniformParams):
+        raise TypeError(f"expected UniformParams, got {type(params).__name__}")
     if params.g <= 0 or params.lam <= 0:
         raise ValueError("branch sectors need g > 0 and lam > 0")
     branch = Branch(branch)  # a name is resolved here, so that the model holds the member

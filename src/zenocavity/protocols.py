@@ -42,7 +42,6 @@ from .dynamics import (
 )
 from .model import LAYOUT, Branch, BranchModel, UniformParams, build_branch_model
 from .spaces import (
-    HADAMARD,
     DensityOp,
     HilbertSpace,
     ReadoutPlan,
@@ -84,12 +83,14 @@ def _constant(rows) -> np.ndarray:
     return mat
 
 
+# the literal single-mode Hadamard, the unitary convention's one operator
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 # number-conserving splitter against a vacuum ancilla: photon stays (with the
 # Hadamard's sign) or leaks out; vacuum is untouched
 _BS_KEEP = _constant([[1.0, 0.0], [0.0, -1.0 / math.sqrt(2.0)]])
 _BS_LEAK = _constant([[0.0, 1.0 / math.sqrt(2.0)], [0.0, 0.0]])
 # one coherent history per Kraus operator
-_KRAUS = {GateConvention.UNITARY: (_constant(HADAMARD),),
+_KRAUS = {GateConvention.UNITARY: (_constant(_HADAMARD),),
           GateConvention.BEAMSPLITTER: (_BS_KEEP, _BS_LEAK)}
 # P_o @ K per Fock outcome o and Kraus operator K: one pass gates and post-selects a mode
 _POSTSELECTED = {convention: [[_constant(np.diag(np.eye(2)[o]) @ k) for k in kraus] for o in (0, 1)]
@@ -115,9 +116,12 @@ def hadamard_and_reduce(
     The modes and ``keep`` are checked before any arithmetic: a ``keep`` that names
     every factor raises ``InvalidSubsystemError`` (a readout must trace out some factor),
     and a bad ``keep`` raises its own error even where the outcome has probability ~0.
-    A bare string, as ``modes`` or as ``keep``, is one name.
+    A bare string, as ``modes`` or as ``keep``, is one name. Raises ``TypeError`` unless
+    ``state`` is a :class:`State`.
     The plan of the readout is built on each call; only a run's plan is cached.
     """
+    if not isinstance(state, State):
+        raise TypeError(f"expected State, got {type(state).__name__}")
     interpretation = Interpretation(interpretation)
     convention = GateConvention(convention)
     modes = [modes] if isinstance(modes, str) else list(modes)
@@ -196,7 +200,8 @@ _PROTOCOLS = {
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """A fully resolved protocol run request."""
+    """A fully resolved protocol run request; ``TypeError`` unless ``params`` is a
+    :class:`UniformParams`."""
 
     protocol: Protocol
     branch: Branch
@@ -208,6 +213,8 @@ class ProtocolSpec:
     convention: GateConvention = GateConvention.UNITARY
 
     def __post_init__(self):
+        if not isinstance(self.params, UniformParams):
+            raise TypeError(f"expected UniformParams, got {type(self.params).__name__}")
         # coerce strings coming from the CLI/config layer
         for key, kind in (("protocol", Protocol), ("branch", Branch), ("engine", Engine),
                           ("interpretation", Interpretation), ("convention", GateConvention)):
@@ -367,11 +374,13 @@ def run(spec: ProtocolSpec, model: BranchModel | None = None) -> ProtocolResult:
     model decomposes each engine's generator once, on its first run of that engine,
     and every later run on it reuses that decomposition and the seed's coordinates in it.
 
-    Raises ``ValueError`` for a model that does not match (or is not a ``BranchModel``),
-    a pulse that cannot be timed or a post-selection of probability ~0,
-    ``FloatingPointError`` for a phase error above 1e-2 and ``OverflowError`` for a pulse
-    time that is not finite.
+    Raises ``TypeError`` unless ``spec`` is a :class:`ProtocolSpec`, ``ValueError`` for a
+    model that does not match (or is not a ``BranchModel``), a pulse that cannot be timed
+    or a post-selection of probability ~0, ``FloatingPointError`` for a phase error above
+    1e-2 and ``OverflowError`` for a pulse time that is not finite.
     """
+    if not isinstance(spec, ProtocolSpec):
+        raise TypeError(f"expected ProtocolSpec, got {type(spec).__name__}")
     if model is None:
         model = build_branch_model(spec.params, spec.branch)
     elif (not isinstance(model, BranchModel) or model.params != spec.params

@@ -413,8 +413,11 @@ def partial_trace(state, keep: Iterable) -> DensityOp:
 def fidelity(state, target: State) -> float:
     """Overlap with a pure target: |<t|psi>|^2 for kets, <t|rho|t> for mixtures.
 
-    Global phases never enter. The target must be normalized.
+    Global phases never enter. The target must be normalized. Raises ``TypeError`` unless
+    ``target`` is a :class:`State` and ``state`` a State or a DensityOp.
     """
+    if not isinstance(target, State):
+        raise TypeError(f"expected State, got {type(target).__name__}")
     if abs(target.norm() - 1.0) > 1e-9:
         raise ValueError(f"target is not normalized (norm {target.norm():.6f})")
     return overlap(state, target)
@@ -468,9 +471,6 @@ def _transpose_map(space: HilbertSpace, partition: Iterable) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the readout: single-mode gates, post-selection, reduction
 # ---------------------------------------------------------------------------
-
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-
 
 def _mode_axis(space: HilbertSpace, mode: str) -> int:
     axis = space.subsystem_index(mode)

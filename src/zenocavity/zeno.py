@@ -202,7 +202,10 @@ def _bright_energies(params: UniformParams) -> tuple[float, float, float, float]
 
 
 def predicted_strong_spectrum(params: UniformParams, branch: Branch = Branch.LEFT) -> np.ndarray:
-    """Closed-form eigenvalues {0,0,0,+g,-g,+g*chi,-g*chi} (doubled if combined)."""
+    """Closed-form eigenvalues {0,0,0,+g,-g,+g*chi,-g*chi} (doubled if combined); ``TypeError``
+    unless ``params`` is a :class:`UniformParams`."""
+    if not isinstance(params, UniformParams):
+        raise TypeError(f"expected UniformParams, got {type(params).__name__}")
     if params.g <= 0 or params.lam <= 0:
         raise DegenerateStructureError("spectrum formula needs g > 0 and lam > 0")
     one = [0.0, 0.0, 0.0, *_bright_energies(params)]
@@ -250,7 +253,10 @@ def _numeric_bright_block(block: np.ndarray, targets: tuple[float, ...]) -> np.n
 
 
 def sector_dark_columns(model: BranchModel, sector: Branch) -> np.ndarray:
-    """Analytic dark columns of one sector, embedded in restricted coordinates."""
+    """Analytic dark columns of one sector, embedded in restricted coordinates; ``TypeError``
+    unless ``model`` is a :class:`BranchModel`."""
+    if not isinstance(model, BranchModel):
+        raise TypeError(f"expected BranchModel, got {type(model).__name__}")
     if sector == Branch.COMBINED:
         raise ValueError("pick one sector; the combined basis lives in analytic_dark_bright")
     if sector not in model.positions:
@@ -259,7 +265,10 @@ def sector_dark_columns(model: BranchModel, sector: Branch) -> np.ndarray:
 
 
 def analytic_dark_bright(model: BranchModel) -> DarkBrightBasis:
-    """Dark states in closed form, bright states from the eigensolver."""
+    """Dark states in closed form, bright states from the eigensolver; ``TypeError`` unless
+    ``model`` is a :class:`BranchModel`."""
+    if not isinstance(model, BranchModel):
+        raise TypeError(f"expected BranchModel, got {type(model).__name__}")
     energies = _bright_energies(model.params)
     printed = printed_bright_forms(model.params)[1:6, :]  # chain interior only
     bright = np.zeros((model.dim, 4))

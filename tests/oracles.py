@@ -13,7 +13,7 @@ from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import expm_multiply
 
 import zenocavity as zc
-from zenocavity.model import LAYOUT
+from zenocavity.model import LAYOUT, initial_state
 from zenocavity.spaces import ZERO_PROBABILITY_TOL, overlap
 
 
@@ -58,6 +58,35 @@ def number_commutator_maxabs(h, number_diag: np.ndarray) -> float:
     if coo.nnz == 0:
         return 0.0
     return float(np.max(np.abs(coo.data * (number_diag[coo.row] - number_diag[coo.col]))))
+
+
+def reachable_subspace(h, seed: zc.State) -> zc.RestrictedSpace:
+    """Breadth-first closure of the seed's support under a Hamiltonian.
+
+    Membership is structural: every nonzero stored entry is a link, however
+    small, so the closure holds the same states as the cached sector at any
+    g, lam > 0. Basis states are added in FIFO discovery order with neighbors
+    sorted by basis index, so the result is deterministic; for a single-state
+    seed driven along a coupling chain this reproduces the natural chain order.
+    """
+    space = seed.space
+    if isinstance(space, zc.RestrictedSpace):
+        raise zc.InvalidSubsystemError("seed must live on the full space")
+    h = sp.csr_matrix(h)
+    if h.shape != (space.dim, space.dim):
+        raise zc.InvalidSubsystemError("Hamiltonian shape does not match the seed's space")
+
+    queue = [int(i) for i in np.flatnonzero(seed.vec)]
+    if not queue:
+        raise ValueError("seed state is zero")
+    seen = set(queue)
+    for i in queue:  # the list grows as it is read: a FIFO queue
+        lo, hi = h.indptr[i], h.indptr[i + 1]
+        for j in sorted(int(j) for j in h.indices[lo:hi][h.data[lo:hi] != 0]):
+            if j not in seen:
+                seen.add(j)
+                queue.append(j)
+    return zc.RestrictedSpace(space, tuple(queue))
 
 
 def cluster_sum(dec: zc.ZenoDecomposition) -> np.ndarray:
@@ -210,7 +239,7 @@ def full_space_protocol(spec: zc.ProtocolSpec, tau: float) -> tuple:
     """
     space = zc.full_space(1)
     h = zc.build_hamiltonian(spec.params, space).total
-    psi = expm_multiply(-1j * tau * h, zc.initial_state(space, spec.branch).vec)
+    psi = expm_multiply(-1j * tau * h, initial_state(space, spec.branch).vec)
     sectors = spec.branch.sectors
     names = [sub.name for sub in space.subsystems]
     atoms = tuple(sorted(names.index(x) for x in ("a", *(_SECTOR_ENDS[s][0] for s in sectors))))

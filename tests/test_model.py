@@ -19,7 +19,7 @@ import oracles
 import zenocavity as zc
 import zenocavity.model as model_mod
 from oracles import chain_hamiltonian, excitation_number, number_commutator_maxabs
-from zenocavity.model import full_space, restrict
+from zenocavity.model import full_space, initial_state, restrict
 
 ATOL = 1e-12
 
@@ -120,7 +120,7 @@ def test_total_commutes_with_excitation_number(space1):
 
 def test_excitation_number_values(space1):
     n = excitation_number(space1)
-    seed = zc.initial_state(space1, zc.Branch.LEFT)
+    seed = initial_state(space1, zc.Branch.LEFT)
     assert n[int(np.argmax(np.abs(seed.vec)))] == 1.0  # f counts as one excitation
     ground = space1.ket(a="g_l", b="g_l", c="g_r")
     assert n[int(np.argmax(np.abs(ground.vec)))] == 0.0
@@ -192,7 +192,7 @@ def test_closure_ignores_silent_drives(space1):
 def test_closure_cap_and_seed_validation(space1):
     parts = zc.build_hamiltonian(PARAMS, space1)
     with pytest.raises(ValueError):
-        zc.reachable_subspace(parts.total, zc.State(space1, np.zeros(space1.dim)))
+        oracles.reachable_subspace(parts.total, zc.State(space1, np.zeros(space1.dim)))
 
 
 def _ket_positions(model, sector):
@@ -241,9 +241,10 @@ def test_cutoff_two_reproduces_the_same_sector():
 # a name first, then the member, then the name again, a hit in the sector cache
 _BRANCH_NAMES = """
 import zenocavity as zc
+from zenocavity.model import initial_state
 params, space = zc.UniformParams(g=1.0, lam=1.0, omega1=0.01), zc.full_space()
-seed = zc.initial_state(space, "left")
-assert seed.vec.tobytes() == zc.initial_state(space, zc.Branch.LEFT).vec.tobytes()
+seed = initial_state(space, "left")
+assert seed.vec.tobytes() == initial_state(space, zc.Branch.LEFT).vec.tobytes()
 for branch in ("left", zc.Branch.LEFT, "left"):
     model = zc.build_branch_model(params, branch)
     assert model.branch is zc.Branch.LEFT, repr(model.branch)
@@ -283,8 +284,8 @@ BRANCHES = (zc.Branch.LEFT, zc.Branch.RIGHT, zc.Branch.COMBINED)
 def _oracle_model(params, branch, space):
     # the uncached path: fresh assembly, closure at probe drives, restriction
     probe = zc.UniformParams(params.g, params.lam, omega1=1.0, omega2=1.0, omega3=1.0)
-    restricted = zc.reachable_subspace(zc.build_hamiltonian(probe, space).total,
-                                       zc.initial_state(space, branch))
+    restricted = oracles.reachable_subspace(zc.build_hamiltonian(probe, space).total,
+                                            initial_state(space, branch))
     parts = zc.build_hamiltonian(params, space)
     return restricted, {name: restrict(getattr(parts, name), restricted).real
                         for name in ("total", "strong", "drive")}
@@ -296,7 +297,7 @@ def _assert_matches_oracle(params, branch, space):
     assert model.restricted.indices == restricted.indices
     for name, block in blocks.items():
         assert getattr(model, name).tobytes() == block.tobytes(), name
-    seed = restricted.project(zc.initial_state(space, branch).vec)
+    seed = restricted.project(initial_state(space, branch).vec)
     assert model.seed().vec.tobytes() == seed.tobytes()
     assert list(model.positions) == list(branch.sectors)
     for sector in branch.sectors:
@@ -337,7 +338,7 @@ def test_cached_model_equals_the_oracle_on_a_permuted_register(branch, swap_sect
 
 def test_cold_builds_assemble_nothing(space1, monkeypatch):
     calls = []
-    for name in ("build_hamiltonian", "reachable_subspace", "restrict"):
+    for name in ("build_hamiltonian", "restrict"):
         oracle = getattr(model_mod, name)
         monkeypatch.setattr(model_mod, name,
                             lambda *a, _f=oracle, **k: calls.append(a) or _f(*a, **k))

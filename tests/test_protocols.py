@@ -881,3 +881,19 @@ def test_default_params_table():
     assert default_spec("sixdim").params == zc.UniformParams(g=1.0, lam=1.0, omega1=0.01)
     assert default_spec("sixdim").branch is zc.Branch.COMBINED
     assert default_spec("bell").branch is zc.Branch.LEFT
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: default_spec("bell", params=None), "expected UniformParams, got NoneType"),
+    (lambda: ProtocolSpec("bell", "left", {"g": 1.0, "lam": 1.0}),
+     "expected UniformParams, got dict"),
+    (lambda: zc.build_branch_model(None, "left"), "expected UniformParams, got NoneType"),
+    (lambda: run(None), "expected ProtocolSpec, got NoneType"),
+    (lambda: run(default_spec("bell").params), "expected ProtocolSpec, got UniformParams"),
+], ids=["default_spec", "ProtocolSpec", "build_branch_model", "run-None", "run-params"])
+def test_a_spec_or_model_needs_a_parameter_point(call, message):
+    # the spec was built and its run, like the model build, raised AttributeError
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        call()
+    for documented in (ProtocolSpec, zc.build_branch_model, run):
+        assert "``TypeError``" in documented.__doc__

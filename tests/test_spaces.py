@@ -13,13 +13,15 @@ from hypothesis import strategies as st
 import oracles
 import zenocavity as zc
 from zenocavity import spaces
-from zenocavity.protocols import _KRAUS, _POSTSELECTED
+from zenocavity.model import initial_state
+from zenocavity.protocols import _HADAMARD, _KRAUS, _POSTSELECTED
 from zenocavity.spaces import (
     NEGATIVITY_DIM_CAP,
     InvalidSubsystemError,
     SpaceMismatchError,
     SubsystemSpec,
     density,
+    inner,
 )
 
 ATOL = 1e-12
@@ -148,7 +150,7 @@ def test_space_equality_and_mismatch():
     a = _random_state(s1, 0)
     b = _random_state(zc.HilbertSpace([atom_a()]), 0)
     with pytest.raises(SpaceMismatchError):
-        zc.inner(a, b)
+        inner(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +365,7 @@ def test_negativity_invariant_under_local_unitary(seed):
 # ---------------------------------------------------------------------------
 
 def test_hadamard_constant_is_unitary():
-    assert np.allclose(zc.HADAMARD @ zc.HADAMARD.T, np.eye(2), atol=ATOL)
+    assert np.allclose(_HADAMARD @ _HADAMARD.T, np.eye(2), atol=ATOL)
 
 
 def test_the_hadamard_acts_on_one_axis(space1):
@@ -388,7 +390,7 @@ def test_a_mode_gate_needs_a_cutoff_1_mode(space1, interpretation):
 
 
 # every operator the protocols put on a mode, plus None for a random matrix
-_MODE_OPERATORS = [None, zc.HADAMARD, *(op for ops in _KRAUS.values() for op in ops),
+_MODE_OPERATORS = [None, _HADAMARD, *(op for ops in _KRAUS.values() for op in ops),
                    *(op for by_outcome in _POSTSELECTED.values() for ops in by_outcome
                      for op in ops)]
 
@@ -531,7 +533,7 @@ _BAD_ENTRY = "a subsystem entry is a name or an integer index, got "
 ])
 def test_bad_keep_sets_fail_every_time_and_are_never_cached(space1, monkeypatch, keep, error,
                                                             message):
-    psi = zc.initial_state(space1, zc.Branch.LEFT)
+    psi = initial_state(space1, zc.Branch.LEFT)
     calls = _spy_on_keep_positions(monkeypatch)
     for _ in range(2):
         with pytest.raises(error, match=re.escape(message)):
@@ -542,7 +544,7 @@ def test_bad_keep_sets_fail_every_time_and_are_never_cached(space1, monkeypatch,
 @pytest.mark.parametrize("keep", [[0.7], [True], [0, 1.9], [np.float64(1.0)], [["a"]], [("a",)],
                                   [None]], ids=repr)
 def test_a_keep_or_partition_entry_is_a_name_or_an_integer(space1, keep):
-    psi = zc.initial_state(space1, zc.Branch.LEFT)
+    psi = initial_state(space1, zc.Branch.LEFT)
     rho = zc.partial_trace(psi, ("a", "b"))
     message = re.escape(_BAD_ENTRY + repr(keep[-1]))
     for call in (lambda: zc.partial_trace(psi, keep), lambda: zc.negativity(rho, keep)):
@@ -551,7 +553,7 @@ def test_a_keep_or_partition_entry_is_a_name_or_an_integer(space1, keep):
 
 
 def test_a_bare_string_is_one_name(space1):
-    psi = zc.initial_state(space1, zc.Branch.LEFT)
+    psi = initial_state(space1, zc.Branch.LEFT)
     assert zc.partial_trace(psi, "a").mat.tobytes() == zc.partial_trace(psi, ["a"]).mat.tobytes()
     rho = zc.partial_trace(psi, ("a", "b"))
     for call in (lambda: zc.partial_trace(psi, "ab"), lambda: zc.negativity(rho, "ab")):
@@ -560,7 +562,7 @@ def test_a_bare_string_is_one_name(space1):
 
 
 def test_numpy_integers_index_a_keep_set(space1):
-    psi = zc.initial_state(space1, zc.Branch.LEFT)
+    psi = initial_state(space1, zc.Branch.LEFT)
     want = zc.partial_trace(psi, [0, 1])
     got = zc.partial_trace(psi, [np.int64(0), np.intp(1)])
     assert got.space is want.space and got.mat.tobytes() == want.mat.tobytes()

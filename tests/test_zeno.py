@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 
 import zenocavity as zc
 from oracles import chain_hamiltonian, cluster_sum, dark_projector_residual, limiting_generator
-from zenocavity.zeno import DEFAULT_CLUSTER_FRACTION, _evr, _numeric_bright_block, eigh
+from zenocavity.zeno import (
+    DEFAULT_CLUSTER_FRACTION,
+    _evr,
+    _numeric_bright_block,
+    eigh,
+    printed_bright_forms,
+)
 
 ATOL = 1e-12
 
@@ -363,12 +369,12 @@ def test_combined_basis_carries_each_sectors_printed_overlaps(combined_model):
 def test_printed_bright_forms_names_what_is_not_a_parameter_point(params):
     # it read params.g and raised AttributeError
     with pytest.raises(TypeError, match=f"expected UniformParams, got {type(params).__name__}$"):
-        zc.printed_bright_forms(params)
-    assert "``TypeError``" in zc.printed_bright_forms.__doc__
+        printed_bright_forms(params)
+    assert "``TypeError``" in printed_bright_forms.__doc__
 
 
 def test_printed_bright_forms_partially_wrong(left_model):
-    forms = zc.printed_bright_forms(PARAMS)
+    forms = printed_bright_forms(PARAMS)
     assert np.allclose(np.linalg.norm(forms, axis=0), 1.0, atol=ATOL)
     # the +/- g forms are genuine eigenvectors ...
     for col, e in ((0, PARAMS.g), (1, -PARAMS.g)):
@@ -391,7 +397,7 @@ def test_printed_bright_forms_partially_wrong(left_model):
 
 def test_degenerate_structure_errors():
     with pytest.raises(zc.DegenerateStructureError):
-        zc.printed_bright_forms(zc.UniformParams(g=0.0, lam=1.0))
+        printed_bright_forms(zc.UniformParams(g=0.0, lam=1.0))
 
 
 def test_bright_energies_that_coincide_in_float_are_a_degenerate_structure():
